@@ -38,7 +38,7 @@ OutputPacketChecker::OutputPacketChecker(const TestSpec& spec,
         chk_tables_ = std::make_unique<dataplane::TableSet>(prog, 0, false);
         chk_stateful_ = std::make_unique<dataplane::StatefulSet>(prog);
         chk_pipeline_ = std::make_unique<dataplane::Pipeline>(
-            prog, *chk_tables_, *chk_stateful_, dataplane::PipelineOptions{});
+            dataplane::image_for(spec_.checker, {}), *chk_tables_, *chk_stateful_);
         p4_rule_index_ = report_.rules.size();
         report_.rules.push_back({"P4 checker program accepts packet", 0, 0});
     }

@@ -14,7 +14,9 @@ Controller::Controller(target::Device& device)
 
 control::Status Controller::load_program(std::string_view source, std::string name) {
     try {
-        const auto prog = p4::compile_source(source, std::move(name));
+        // Shared-owned, so the device keeps this program instead of a copy.
+        const std::shared_ptr<const p4::ir::Program> prog =
+            p4::compile_source(source, std::move(name));
         return device_.load(*prog);
     } catch (const util::CompileError& e) {
         return control::Status::failure(e.what());

@@ -34,7 +34,8 @@ TestPacketGenerator::TestPacketGenerator(const TestSpec& spec) : spec_(spec) {
             }
         };
         mut_pipeline_ = std::make_unique<dataplane::Pipeline>(
-            prog, *mut_tables_, *mut_stateful_, options);
+            dataplane::image_for(spec_.mutator, {}), *mut_tables_, *mut_stateful_,
+            std::move(options));
     }
 }
 

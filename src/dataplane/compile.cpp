@@ -661,28 +661,16 @@ inline std::uint64_t bits_at(std::span<const std::uint64_t> words, int lo, int k
 
 }  // namespace
 
-CompiledPipeline::CompiledPipeline(const Program& prog, TableSet& tables,
-                                   StatefulSet& stateful, Quirks quirks)
-    : prog_(prog),
+CompiledPipeline::CompiledPipeline(const Image& image, TableSet& tables,
+                                   StatefulSet& stateful)
+    : prog_(image.program),
       stateful_(stateful),
-      quirks_(quirks),
-      cp_(compile(prog, quirks)) {
-    slots_.reserve(prog.tables.size());
-    for (std::size_t i = 0; i < prog.tables.size(); ++i) {
+      quirks_(image.quirks),
+      cp_(image.code),
+      stream_hdr_(image.stream_hdr) {
+    slots_.reserve(prog_.tables.size());
+    for (std::size_t i = 0; i < prog_.tables.size(); ++i) {
         slots_.push_back(tables.slot_ptr(static_cast<int>(i)));
-    }
-    stream_hdr_.reserve(prog.headers.size());
-    for (const auto& h : prog.headers) {
-        int cursor = 0;
-        bool stream = true;
-        for (const auto& f : h.fields) {
-            if (f.offset != cursor || f.width < 0) {
-                stream = false;
-                break;
-            }
-            cursor += f.width;
-        }
-        stream_hdr_.push_back(stream && cursor == h.size_bits);
     }
     stack_.reserve(16);
     rstack_.reserve(8);

@@ -1,7 +1,8 @@
 // IR -> threaded-code specializer and its dispatch-loop executor.
 //
 // compile() lowers one p4::ir::Program (under one Quirks value) into the
-// flat CompiledProgram image described in compiled_ops.h.  CompiledPipeline
+// flat CompiledProgram image described in compiled_ops.h; it runs once per
+// (program, quirks), when dataplane::Image is built.  CompiledPipeline
 // executes that image with the same observable semantics as the tree
 // walkers it replaces -- ParserEngine::run and Interpreter::run_control --
 // including cycle accounting, coverage sites (same salts, same ordinals)
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "dataplane/compiled_ops.h"
+#include "dataplane/image.h"
 #include "dataplane/interp.h"
 #include "dataplane/quirks.h"
 #include "dataplane/state.h"
@@ -40,13 +42,13 @@ namespace ndb::dataplane {
 // parser epilogue.  Throws std::out_of_range on malformed state references.
 compiled::CompiledProgram compile(const p4::ir::Program& prog, const Quirks& quirks);
 
-// Executes a compiled image.  All per-packet machinery (value stack, call
-// frames, key/arg/byte scratch) is pooled on the object, so steady-state
-// execution performs no heap allocation -- same contract as Interpreter.
+// Executes the compiled code of an Image (image.h); it never compiles.
+// All per-packet machinery (value stack, call frames, key/arg/byte scratch)
+// is pooled on the object, so steady-state execution performs no heap
+// allocation -- same contract as Interpreter.  The image must outlive it.
 class CompiledPipeline {
 public:
-    CompiledPipeline(const p4::ir::Program& prog, TableSet& tables,
-                     StatefulSet& stateful, Quirks quirks = {});
+    CompiledPipeline(const Image& image, TableSet& tables, StatefulSet& stateful);
 
     ParserVerdict run_parser(const packet::Packet& pkt, PacketState& state);
     void run_ingress(PacketState& state);
@@ -67,8 +69,6 @@ public:
     // salts, so the two engines fill the same CoverageMap slots.
     void set_coverage(coverage::CoverageMap* map, std::uint64_t salt = 0);
 
-    const compiled::CompiledProgram& image() const { return cp_; }
-
 private:
     Bitvec eval(compiled::ExprRef ref, const PacketState& state, const Frame& frame);
     void eval_args(const compiled::Inst& in, const PacketState& state,
@@ -86,14 +86,11 @@ private:
     const p4::ir::Program& prog_;
     StatefulSet& stateful_;
     Quirks quirks_;
-    compiled::CompiledProgram cp_;
+    const compiled::CompiledProgram& cp_;
+    const std::vector<bool>& stream_hdr_;  // Image::stream_hdr
     // Direct table handles, indexed by table id: resolved once from the
     // TableSet at construction (Slot pointers are stable for its lifetime).
     std::vector<TableSet::Slot*> slots_;
-    // Per-header streamability, indexed by header id: true when the fields
-    // tile [0, size_bits) contiguously, so extract/deparse can stream bits
-    // sequentially instead of re-addressing the buffer per field.
-    std::vector<bool> stream_hdr_;
 
     std::vector<TableApply> applies_;
     coverage::CoverageMap* coverage_ = nullptr;

@@ -97,9 +97,12 @@ Bitvec eval_expr(const Program& prog, const Expr& e, const PacketState& state,
     throw std::logic_error("eval_expr: unreachable");
 }
 
-Interpreter::Interpreter(const Program& prog, TableSet& tables, StatefulSet& stateful,
-                         Quirks quirks)
-    : prog_(prog), tables_(tables), stateful_(stateful), quirks_(quirks) {}
+Interpreter::Interpreter(const Image& image, TableSet& tables, StatefulSet& stateful)
+    : prog_(image.program),
+      tables_(tables),
+      stateful_(stateful),
+      quirks_(image.quirks),
+      branch_ids_(image.branch_ids) {}
 
 void reset_frame_locals(Frame& frame, std::span<const int> widths) {
     frame.locals.resize(widths.size());
@@ -114,10 +117,7 @@ void reset_frame_locals(Frame& frame, std::span<const int> widths) {
 
 void Interpreter::set_coverage(coverage::CoverageMap* map, std::uint64_t salt) {
     coverage_ = map;
-    if (!map) return;
-    cov_salt_ = coverage::program_salt(prog_.name) ^ salt;
-    if (!branch_ids_.empty()) return;
-    branch_ids_ = p4::ir::number_branches(prog_);
+    if (map) cov_salt_ = coverage::program_salt(prog_.name) ^ salt;
 }
 
 Frame& Interpreter::push_frame() {

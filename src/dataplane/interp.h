@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "dataplane/image.h"
 #include "dataplane/quirks.h"
 #include "dataplane/state.h"
 #include "dataplane/stateful.h"
@@ -58,8 +59,8 @@ void checksum_update_field(const p4::ir::Program& prog, PacketState& state,
 // steady-state packet traversal performs no heap allocation of its own.
 class Interpreter {
 public:
-    Interpreter(const p4::ir::Program& prog, TableSet& tables, StatefulSet& stateful,
-                Quirks quirks = {});
+    // Runs `image`'s program under its quirks; the image must outlive it.
+    Interpreter(const Image& image, TableSet& tables, StatefulSet& stateful);
 
     // Runs a control body; table applies are appended to `applies_`.
     void run_control(const p4::ir::Control& control, PacketState& state);
@@ -73,10 +74,9 @@ public:
     // Coverage instrumentation: when a map is set, table hits/misses,
     // action invocations and branch edges are recorded into it, salted by
     // the program name XOR `salt` (devices pass a per-backend salt so DUT
-    // edges never alias reference edges).  The static branch ordinals are
-    // assigned on the first call (a deterministic pre-order walk of the
-    // controls and actions), so enabling coverage allocates once here and
-    // never on the per-packet path.
+    // edges never alias reference edges).  The static branch ordinals come
+    // from the image (Image::branch_ids), so enabling coverage allocates
+    // nothing.
     void set_coverage(coverage::CoverageMap* map, std::uint64_t salt = 0);
 
 private:
@@ -105,9 +105,8 @@ private:
 
     coverage::CoverageMap* coverage_ = nullptr;
     std::uint64_t cov_salt_ = 0;  // program_salt(prog_.name) ^ device salt
-    // if_stmt -> stable ordinal; built once per program when coverage is
-    // first enabled (identical walk order => identical ordinals everywhere).
-    std::unordered_map<const p4::ir::Stmt*, std::uint32_t> branch_ids_;
+    // if_stmt -> stable ordinal (Image::branch_ids).
+    const std::unordered_map<const p4::ir::Stmt*, std::uint32_t>& branch_ids_;
 };
 
 }  // namespace ndb::dataplane

@@ -1,7 +1,6 @@
 #include "dataplane/pipeline.h"
 
 #include "coverage/coverage.h"
-#include "dataplane/compile.h"
 #include "dataplane/deparser.h"
 #include "obs/metrics.h"
 
@@ -27,95 +26,22 @@ const char* stage_name(Stage stage) {
     return "?";
 }
 
-namespace {
-
-// Does any expression in the program read the ingress timestamp?  The
-// expiry_off_by_one quirk must only perturb programs that age state off
-// the virtual clock: standard metadata is folded into every tap digest,
-// so an ungated rewrite would make every catalogue program diverge at the
-// parser tap and drown the real state-bug landscape.
-bool expr_reads_timestamp(const p4::ir::Expr& e, const p4::ir::FieldRef& ts) {
-    if (e.kind == p4::ir::Expr::Kind::field && e.fref == ts) return true;
-    if (e.a && expr_reads_timestamp(*e.a, ts)) return true;
-    if (e.b && expr_reads_timestamp(*e.b, ts)) return true;
-    if (e.c && expr_reads_timestamp(*e.c, ts)) return true;
-    return false;
-}
-
-bool body_reads_timestamp(const std::vector<p4::ir::StmtPtr>& body,
-                          const p4::ir::FieldRef& ts) {
-    for (const auto& stmt : body) {
-        if (stmt->value && expr_reads_timestamp(*stmt->value, ts)) return true;
-        if (stmt->cond && expr_reads_timestamp(*stmt->cond, ts)) return true;
-        if (stmt->index_expr && expr_reads_timestamp(*stmt->index_expr, ts)) {
-            return true;
-        }
-        for (const auto& arg : stmt->action_args) {
-            if (arg && expr_reads_timestamp(*arg, ts)) return true;
-        }
-        for (const auto& input : stmt->hash_inputs) {
-            if (input && expr_reads_timestamp(*input, ts)) return true;
-        }
-        if (body_reads_timestamp(stmt->then_body, ts)) return true;
-        if (body_reads_timestamp(stmt->else_body, ts)) return true;
-    }
-    return false;
-}
-
-bool program_reads_timestamp(const p4::ir::Program& prog) {
-    const p4::ir::FieldRef ts = prog.f_timestamp;
-    if (!ts.valid()) return false;
-    if (body_reads_timestamp(prog.ingress.body, ts)) return true;
-    if (prog.egress && body_reads_timestamp(prog.egress->body, ts)) return true;
-    for (const auto& action : prog.actions) {
-        if (body_reads_timestamp(action.body, ts)) return true;
-    }
-    for (const auto& st : prog.parser_states) {
-        for (const auto& op : st.ops) {
-            if (op.value && expr_reads_timestamp(*op.value, ts)) return true;
-        }
-        for (const auto& key : st.transition.keys) {
-            if (key && expr_reads_timestamp(*key, ts)) return true;
-        }
-    }
-    return false;
-}
-
-}  // namespace
-
-Pipeline::Pipeline(const p4::ir::Program& prog, TableSet& tables,
+Pipeline::Pipeline(std::shared_ptr<const Image> image, TableSet& tables,
                    StatefulSet& stateful, PipelineOptions options)
-    : prog_(prog),
-      tables_(tables),
-      stateful_(stateful),
-      options_(options),
-      parser_(prog, options.quirks),
-      interp_(prog, tables, stateful, options.quirks) {
-    quirk_expiry_clock_ =
-        options_.quirks.expiry_off_by_one && program_reads_timestamp(prog_);
-    if (options_.engine == Engine::compiled) {
-        compiled_ = std::make_unique<CompiledPipeline>(prog_, tables_, stateful_,
-                                                       options_.quirks);
-    }
-}
-
-Pipeline::~Pipeline() = default;
-
-void Pipeline::set_engine(Engine engine) {
-    options_.engine = engine;
-    if (engine == Engine::compiled && !compiled_) {
-        compiled_ = std::make_unique<CompiledPipeline>(prog_, tables_, stateful_,
-                                                       options_.quirks);
-        compiled_->set_coverage(coverage_, cov_salt_);
-    }
-}
+    : image_(std::move(image)),
+      prog_(image_->program),
+      options_(std::move(options)),
+      parser_(prog_, image_->quirks),
+      interp_(*image_, tables, stateful),
+      compiled_(*image_, tables, stateful),
+      quirk_expiry_clock_(image_->quirks.expiry_off_by_one &&
+                          image_->reads_timestamp) {}
 
 void Pipeline::set_coverage(coverage::CoverageMap* map, std::uint64_t salt) {
     coverage_ = map;
-    cov_salt_ = salt;
     parser_.set_coverage(map, salt);
     interp_.set_coverage(map, salt);
-    if (compiled_) compiled_->set_coverage(map, salt);
+    compiled_.set_coverage(map, salt);
 }
 
 PipelineResult Pipeline::process(const packet::Packet& in) {
@@ -149,7 +75,7 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
 
     state_.ensure_shape(prog_);
     state_.reset(prog_, in.meta, static_cast<std::uint32_t>(in.size()),
-                 options_.quirks.metadata_clobber);
+                 image_->quirks.metadata_clobber);
     if (quirk_expiry_clock_) {
         // expiry_off_by_one quirk: the aging clock latch loses its low
         // microsecond bit, so stored last-seen stamps and timeout deltas sit
@@ -161,7 +87,7 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
     PacketState& state = state_;
 
     CompiledPipeline* const compiled =
-        options_.engine == Engine::compiled ? compiled_.get() : nullptr;
+        options_.engine == Engine::compiled ? &compiled_ : nullptr;
     const ParserVerdict verdict =
         compiled ? compiled->run_parser(in, state) : parser_.run(in, state);
     if (timed) {

@@ -12,11 +12,12 @@
 #include <optional>
 #include <vector>
 
+#include "dataplane/compile.h"
 #include "dataplane/digest.h"
 #include "dataplane/engine.h"
+#include "dataplane/image.h"
 #include "dataplane/interp.h"
 #include "dataplane/parser_engine.h"
-#include "dataplane/quirks.h"
 #include "dataplane/state.h"
 #include "dataplane/stateful.h"
 #include "dataplane/tables.h"
@@ -28,8 +29,6 @@ class CoverageMap;
 }  // namespace ndb::coverage
 
 namespace ndb::dataplane {
-
-class CompiledPipeline;
 
 enum class Disposition {
     forwarded,
@@ -85,7 +84,6 @@ struct PipelineResult {
 };
 
 struct PipelineOptions {
-    Quirks quirks;
     Engine engine = default_engine();  // which executor runs the stages
     bool capture_taps = false;     // full PacketState copies (replay/localize)
     bool capture_digests = false;  // in-place stage hashes (campaign hot path)
@@ -108,21 +106,24 @@ struct StageCounters {
 
 class Pipeline {
 public:
-    Pipeline(const p4::ir::Program& prog, TableSet& tables, StatefulSet& stateful,
-             PipelineOptions options = {});
-    ~Pipeline();  // out of line: CompiledPipeline is incomplete here
+    // Runs `image` (see image_for()) over this pipeline's own mutable
+    // stores.  The pipeline shares the image; the image's program must
+    // outlive the pipeline (its owner -- a device, a checker -- holds it).
+    Pipeline(std::shared_ptr<const Image> image, TableSet& tables,
+             StatefulSet& stateful, PipelineOptions options = {});
 
     PipelineResult process(const packet::Packet& in);
 
-    // Switches the stage executor.  The compiled image is built lazily on
-    // first use and kept; switching back and forth recompiles nothing.
-    // Everything around the stages (counters, taps, digests, hooks, traffic
-    // manager, deparser) is shared orchestration in process(), so only the
-    // stage execution itself changes engine.
-    void set_engine(Engine engine);
+    // Switches the stage executor.  Both executors run the same shared
+    // image, so switching back and forth builds nothing.  Everything around
+    // the stages (counters, taps, digests, hooks, traffic manager, deparser)
+    // is shared orchestration in process(), so only the stage execution
+    // itself changes engine.
+    void set_engine(Engine engine) { options_.engine = engine; }
     Engine engine() const { return options_.engine; }
 
     const p4::ir::Program& program() const { return prog_; }
+    const Image& image() const { return *image_; }
     const StageCounters& counters() const { return counters_; }
     void reset_counters() { counters_ = {}; }
     void set_capture_taps(bool on) { options_.capture_taps = on; }
@@ -136,18 +137,16 @@ public:
     coverage::CoverageMap* coverage() const { return coverage_; }
 
 private:
-    const p4::ir::Program& prog_;
-    TableSet& tables_;
-    StatefulSet& stateful_;
+    std::shared_ptr<const Image> image_;
+    const p4::ir::Program& prog_;  // image_->program
     PipelineOptions options_;
     ParserEngine parser_;
     Interpreter interp_;
-    std::unique_ptr<CompiledPipeline> compiled_;  // lazily built threaded code
+    CompiledPipeline compiled_;
     StageCounters counters_;
     coverage::CoverageMap* coverage_ = nullptr;
-    std::uint64_t cov_salt_ = 0;  // remembered for late engine switches
     // expiry_off_by_one is active AND the program reads the aging clock
-    // (precomputed IR scan; see program_reads_timestamp in pipeline.cpp).
+    // (Image::reads_timestamp).
     bool quirk_expiry_clock_ = false;
     // Per-packet execution state, reset in place each process() call so the
     // steady-state hot path performs no per-packet allocation.

@@ -56,6 +56,10 @@ struct Quirks {
     // into 2^N buckets and get misdirected.
     int hash_collision_misdirect = 0;
 
+    // Memberwise: the image cache keys on the whole value, so a field left
+    // out of signature() can never make two different images alias.
+    bool operator==(const Quirks&) const = default;
+
     bool any() const {
         return reject_as_accept || parser_depth_limit > 0 || skip_checksum_update ||
                shift_miscompile || table_size_clamp > 0 ||

@@ -244,7 +244,10 @@ struct Control {
 
 // --- whole program -------------------------------------------------------------------
 
-struct Program {
+// Shared-owned programs (std::shared_ptr) can be shared rather than copied
+// by whoever needs to keep one alive: target::Device::load() recovers the
+// caller's owner through weak_from_this().
+struct Program : std::enable_shared_from_this<Program> {
     std::string name;
 
     std::vector<Header> headers;

@@ -81,9 +81,15 @@ class Device : public control::RuntimeApi {
 public:
     ~Device() override = default;
 
-    // Installs a compiled program.  The device keeps its own copy of the
-    // image (callers may discard `prog` immediately); any previously loaded
-    // program, its tables and its dynamic state are replaced.
+    // Installs a compiled program; callers may discard `prog` immediately.
+    // A shared-owned program (one held by a std::shared_ptr) is shared: the
+    // device keeps the caller's object alive for as long as it runs it, so
+    // program() is that object.  Any other program is copied once.  The
+    // executable image is built once per (program, quirks) and shared by
+    // every device loading the same program object under equal quirks
+    // (dataplane::image_for()).  Any previously loaded program, its tables
+    // and its dynamic state are replaced, and handles resolved before the
+    // call go stale, even when the same program is loaded again.
     virtual control::Status load(const p4::ir::Program& prog) = 0;
     virtual bool loaded() const = 0;
 

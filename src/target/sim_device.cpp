@@ -39,19 +39,30 @@ SimDevice::SimDevice(DeviceConfig config) : config_(std::move(config)) {
 }
 
 Status SimDevice::load(const p4::ir::Program& prog) {
+    // Share the caller's program when it is shared-owned; copy it once
+    // otherwise.  Either way the image comes from the cache, so only the
+    // first load of a (program, quirks) pair compiles.
+    std::shared_ptr<const p4::ir::Program> shared = prog.weak_from_this().lock();
+    if (!shared) shared = std::make_shared<const p4::ir::Program>(prog.clone());
+    auto image = dataplane::image_for(shared, config_.quirks);
+
     ++generation_;  // invalidates every handle issued against the old image
-    prog_ = std::make_unique<p4::ir::Program>(prog.clone());
+    // Tear down in dependency order: the old pipeline and stores refer into
+    // the old program, which the assignment below may release.
+    pipeline_.reset();
+    stateful_.reset();
+    tables_.reset();
+    prog_ = std::move(shared);
     tables_ = std::make_unique<dataplane::TableSet>(
         *prog_, config_.quirks.table_size_clamp,
         config_.quirks.ternary_priority_inverted);
     stateful_ = std::make_unique<dataplane::StatefulSet>(*prog_);
     dataplane::PipelineOptions options;
-    options.quirks = config_.quirks;
     options.engine = config_.engine;
     options.capture_taps = taps_enabled_;
     options.capture_digests = digests_enabled_;
-    pipeline_ = std::make_unique<dataplane::Pipeline>(*prog_, *tables_, *stateful_,
-                                                      std::move(options));
+    pipeline_ = std::make_unique<dataplane::Pipeline>(std::move(image), *tables_,
+                                                      *stateful_, std::move(options));
     // load() replaces the pipeline wholesale, so coverage mode must be
     // re-applied here for the setting to survive an image swap.
     pipeline_->set_coverage(coverage_, cov_salt_);

@@ -56,6 +56,13 @@ public:
     dataplane::Engine engine() const override { return config_.engine; }
     std::uint64_t now_ns() const override { return clock_ns_; }
 
+    // The (program, quirks) image the pipeline runs, shared with every
+    // other pipeline running the same program object under equal quirks;
+    // nullptr before the first load().
+    const dataplane::Image* image() const {
+        return pipeline_ ? &pipeline_->image() : nullptr;
+    }
+
     // control::RuntimeApi -- resolution.  Handles carry the device's image
     // generation; load() bumps it, so handles resolved against a previous
     // image fail loudly instead of addressing whatever reused the id.
@@ -126,7 +133,10 @@ private:
 
     DeviceConfig config_;
 
-    std::unique_ptr<p4::ir::Program> prog_;
+    // The loaded program, shared with the caller when it is shared-owned;
+    // the pipeline shares its (program, quirks) image with every other
+    // device running the same pair.
+    std::shared_ptr<const p4::ir::Program> prog_;
     std::unique_ptr<dataplane::TableSet> tables_;
     std::unique_ptr<dataplane::StatefulSet> stateful_;
     std::unique_ptr<dataplane::Pipeline> pipeline_;

@@ -1,4 +1,4 @@
-// Hex encoding helpers shared by diagnostics, pcap dumps and reports.
+// Hex encoding helpers shared by diagnostics and reports.
 #pragma once
 
 #include <cstdint>
