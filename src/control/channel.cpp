@@ -1,7 +1,5 @@
 #include "control/channel.h"
 
-#include <stdexcept>
-
 #include "control/transport.h"
 #include "util/strings.h"
 
@@ -18,66 +16,6 @@ const char* payload_name(Response::Payload payload) {
     return "?";
 }
 
-Response dispatch(RuntimeApi& device, const Request& request) {
-    Response resp;
-    std::visit(
-        [&](const auto& req) {
-            using T = std::decay_t<decltype(req)>;
-            if constexpr (std::is_same_v<T, AddEntryReq>) {
-                resp.status = device.add_entry(req.table, req.entry);
-            } else if constexpr (std::is_same_v<T, DeleteEntryReq>) {
-                resp.status = device.delete_entry(req.table, req.entry);
-            } else if constexpr (std::is_same_v<T, SetDefaultReq>) {
-                resp.status = device.set_default_action(req.table, req.action, req.args);
-            } else if constexpr (std::is_same_v<T, ClearTableReq>) {
-                resp.status = device.clear_table(req.table);
-            } else if constexpr (std::is_same_v<T, WriteRegisterReq>) {
-                resp.status = device.write_register(req.name, req.index, req.value);
-            } else if constexpr (std::is_same_v<T, ReadRegisterReq>) {
-                resp.status = device.read_register(req.name, req.index,
-                                                   resp.register_value);
-                if (resp.status.ok) {
-                    resp.payload = Response::Payload::register_value;
-                }
-            } else if constexpr (std::is_same_v<T, ReadCounterReq>) {
-                resp.status = device.read_counter(req.name, req.index,
-                                                  resp.counter_value);
-                if (resp.status.ok) {
-                    resp.payload = Response::Payload::counter_value;
-                }
-            } else if constexpr (std::is_same_v<T, ConfigureMeterReq>) {
-                resp.status = device.configure_meter(req.name, req.index, req.config);
-            } else if constexpr (std::is_same_v<T, SnapshotReq>) {
-                resp.snapshot = device.snapshot();
-                resp.payload = Response::Payload::snapshot;
-            } else if constexpr (std::is_same_v<T, ResetReq>) {
-                resp.status = device.reset_state();
-            } else if constexpr (std::is_same_v<T, ApplyConfigReq>) {
-                resp.op_statuses = device.apply(req.ops);
-                resp.payload = Response::Payload::op_statuses;
-            }
-        },
-        request);
-    return resp;
-}
-
-Response Channel::transact(const Request& request) {
-    // An unbound handler is a caller error, but it must surface as a
-    // diagnostic Status -- invoking the empty std::function would throw
-    // std::bad_function_call out of every management call site.
-    if (!handler_) {
-        Response resp;
-        resp.status = Status::failure("control channel not bound to a device");
-        return resp;
-    }
-    ++requests_;
-    return handler_(request);
-}
-
-Response RuntimeClient::transact(const Request& request) {
-    return channel_ ? channel_->transact(request) : wire_->transact(request);
-}
-
 Status RuntimeClient::expect_payload(const Response& response,
                                      Response::Payload want) {
     if (!response.status.ok) return response.status;
@@ -90,32 +28,57 @@ Status RuntimeClient::expect_payload(const Response& response,
     return Status::success();
 }
 
+Status RuntimeClient::apply_one(ConfigOp op) {
+    return apply(std::span(&op, 1)).front();
+}
+
+namespace {
+
+ConfigOp make_op(ConfigOp::Kind kind, const std::string& target) {
+    ConfigOp op;
+    op.kind = kind;
+    op.target = target;
+    return op;
+}
+
+}  // namespace
+
 Status RuntimeClient::add_entry(const std::string& table, const EntrySpec& entry) {
-    return transact(AddEntryReq{table, entry}).status;
+    ConfigOp op = make_op(ConfigOp::Kind::add_entry, table);
+    op.entry = entry;
+    return apply_one(std::move(op));
 }
 
 Status RuntimeClient::delete_entry(const std::string& table, const EntrySpec& entry) {
-    return transact(DeleteEntryReq{table, entry}).status;
+    ConfigOp op = make_op(ConfigOp::Kind::delete_entry, table);
+    op.entry = entry;
+    return apply_one(std::move(op));
 }
 
 Status RuntimeClient::set_default_action(const std::string& table,
                                          const std::string& action,
                                          const std::vector<Bitvec>& args) {
-    return transact(SetDefaultReq{table, action, args}).status;
+    ConfigOp op = make_op(ConfigOp::Kind::set_default_action, table);
+    op.action = action;
+    op.action_args = args;
+    return apply_one(std::move(op));
 }
 
 Status RuntimeClient::clear_table(const std::string& table) {
-    return transact(ClearTableReq{table}).status;
+    return apply_one(make_op(ConfigOp::Kind::clear_table, table));
 }
 
 Status RuntimeClient::write_register(const std::string& name, std::uint64_t index,
                                      const Bitvec& value) {
-    return transact(WriteRegisterReq{name, index, value}).status;
+    ConfigOp op = make_op(ConfigOp::Kind::write_register, name);
+    op.index = index;
+    op.value = value;
+    return apply_one(std::move(op));
 }
 
 Status RuntimeClient::read_register(const std::string& name, std::uint64_t index,
                                     Bitvec& out) {
-    const Response resp = transact(ReadRegisterReq{name, index});
+    const Response resp = channel_->transact(ReadRegisterReq{name, index});
     const Status st = expect_payload(resp, Response::Payload::register_value);
     if (st.ok) out = resp.register_value;
     return st;
@@ -123,7 +86,7 @@ Status RuntimeClient::read_register(const std::string& name, std::uint64_t index
 
 Status RuntimeClient::read_counter(const std::string& name, std::uint64_t index,
                                    CounterValue& out) {
-    const Response resp = transact(ReadCounterReq{name, index});
+    const Response resp = channel_->transact(ReadCounterReq{name, index});
     const Status st = expect_payload(resp, Response::Payload::counter_value);
     if (st.ok) out = resp.counter_value;
     return st;
@@ -131,14 +94,17 @@ Status RuntimeClient::read_counter(const std::string& name, std::uint64_t index,
 
 Status RuntimeClient::configure_meter(const std::string& name, std::uint64_t index,
                                       const MeterConfig& config) {
-    return transact(ConfigureMeterReq{name, index, config}).status;
+    ConfigOp op = make_op(ConfigOp::Kind::configure_meter, name);
+    op.index = index;
+    op.meter = config;
+    return apply_one(std::move(op));
 }
 
 std::vector<Status> RuntimeClient::apply(std::span<const ConfigOp> ops) {
     if (ops.empty()) return {};
     ApplyConfigReq req;
     req.ops.assign(ops.begin(), ops.end());
-    const Response resp = transact(req);
+    const Response resp = channel_->transact(req);
     Status st = expect_payload(resp, Response::Payload::op_statuses);
     if (st.ok && resp.op_statuses.size() != ops.size()) {
         st = Status::failure(
@@ -158,13 +124,13 @@ StatusSnapshot RuntimeClient::snapshot() {
     // snapshot() has no Status in its RuntimeApi signature; a response with
     // the wrong payload yields the empty snapshot (all-zero counters), which
     // campaign detection treats like any other observable difference.
-    const Response resp = transact(SnapshotReq{});
+    const Response resp = channel_->transact(SnapshotReq{});
     if (resp.payload != Response::Payload::snapshot) return StatusSnapshot{};
     return resp.snapshot;
 }
 
 Status RuntimeClient::reset_state() {
-    return transact(ResetReq{}).status;
+    return channel_->transact(ResetReq{}).status;
 }
 
 }  // namespace ndb::control

@@ -1,15 +1,14 @@
-// Message-based control channel.
+// Management-plane messages and the host-side client that speaks them.
 //
 // Models the paper's dedicated host<->device management interface: requests
-// are explicit messages, a device-side dispatcher executes them against a
-// RuntimeApi, and RuntimeClient gives the host tool the same typed API over
-// the channel.  Keeping the wire format explicit lets tests fault the link
-// and lets the channel be logged.
+// are explicit messages, the device side (ControlServer, control/transport.h)
+// executes them against a RuntimeApi, and RuntimeClient gives the host tool
+// the same typed API over the wire.  Every mutation travels as a batch of
+// ConfigOp; the only other requests are the reads, the snapshot and the
+// soft reset.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <span>
 #include <string>
 #include <variant>
@@ -21,26 +20,11 @@ namespace ndb::control {
 
 // --- request messages ---------------------------------------------------------
 
-struct AddEntryReq {
-    std::string table;
-    EntrySpec entry;
-};
-struct DeleteEntryReq {
-    std::string table;
-    EntrySpec entry;
-};
-struct SetDefaultReq {
-    std::string table;
-    std::string action;
-    std::vector<Bitvec> args;
-};
-struct ClearTableReq {
-    std::string table;
-};
-struct WriteRegisterReq {
-    std::string name;
-    std::uint64_t index = 0;
-    Bitvec value;
+// Batched configuration: every op of a scenario in one frame-level round
+// trip.  The response carries one Status per op (Payload::op_statuses), so
+// callers keep per-op accounting.
+struct ApplyConfigReq {
+    std::vector<ConfigOp> ops;
 };
 struct ReadRegisterReq {
     std::string name;
@@ -50,24 +34,12 @@ struct ReadCounterReq {
     std::string name;
     std::uint64_t index = 0;
 };
-struct ConfigureMeterReq {
-    std::string name;
-    std::uint64_t index = 0;
-    MeterConfig config;
-};
 struct SnapshotReq {};
 struct ResetReq {};
-// Batched configuration: every op of a scenario in one frame-level round
-// trip instead of one frame per op.  The response carries one Status per op
-// (Payload::op_statuses), so callers keep per-op accounting.
-struct ApplyConfigReq {
-    std::vector<ConfigOp> ops;
-};
 
-using Request = std::variant<AddEntryReq, DeleteEntryReq, SetDefaultReq,
-                             ClearTableReq, WriteRegisterReq, ReadRegisterReq,
-                             ReadCounterReq, ConfigureMeterReq, SnapshotReq,
-                             ResetReq, ApplyConfigReq>;
+// The variant index is the request tag on the wire (control/wire.h).
+using Request = std::variant<ApplyConfigReq, ReadRegisterReq, ReadCounterReq,
+                             SnapshotReq, ResetReq>;
 
 // --- response -------------------------------------------------------------------
 
@@ -95,40 +67,18 @@ struct Response {
 
 const char* payload_name(Response::Payload payload);
 
-// Executes one request against a device runtime.
-Response dispatch(RuntimeApi& device, const Request& request);
+class WireChannel;  // control/transport.h
 
-// In-process request/response channel with observable traffic counters.
-class Channel {
-public:
-    using Handler = std::function<Response(const Request&)>;
-
-    // Binds the device side of the channel.
-    void bind(Handler handler) { handler_ = std::move(handler); }
-
-    // Host side: send a request, wait for the response (synchronous model).
-    Response transact(const Request& request);
-
-    std::uint64_t requests_sent() const { return requests_; }
-
-private:
-    Handler handler_;
-    std::uint64_t requests_ = 0;
-};
-
-class WireChannel;  // control/transport.h: the faultable wire-protocol channel
-
-// RuntimeApi implementation that tunnels every call through a channel,
-// giving the host tool location transparency.  Two bindings exist: the
-// in-process Channel above (a direct function call), and WireChannel
-// (control/transport.h), which serializes every request into a wire frame,
-// survives injected link faults via sequence-numbered retries, and returns
-// first-class Status failures -- "wire: request timed out", "wire: response
-// carried the wrong payload" -- instead of default-constructed garbage.
+// RuntimeApi implementation that tunnels every call through a WireChannel,
+// giving the host tool location transparency.  The channel serializes each
+// request into a wire frame, survives injected link faults via
+// sequence-numbered retries, and returns first-class Status failures --
+// "wire: request timed out", "response carried payload ..." -- instead of
+// default-constructed garbage.  Each string-addressed mutation is a one-op
+// apply(); the handle overloads inherit RuntimeApi's name-based defaults.
 class RuntimeClient final : public RuntimeApi {
 public:
-    explicit RuntimeClient(Channel& channel) : channel_(&channel) {}
-    explicit RuntimeClient(WireChannel& channel) : wire_(&channel) {}
+    explicit RuntimeClient(WireChannel& channel) : channel_(&channel) {}
 
     Status add_entry(const std::string& table, const EntrySpec& entry) override;
     Status delete_entry(const std::string& table, const EntrySpec& entry) override;
@@ -152,15 +102,14 @@ public:
     Status reset_state() override;
 
 private:
-    // Sends through whichever channel this client was bound to.
-    Response transact(const Request& request);
+    // Ships one mutation as a single-op ApplyConfigReq.
+    Status apply_one(ConfigOp op);
     // Shared guard for the read-style calls: a success response whose
     // payload discriminator does not match `want` is a protocol error.
     static Status expect_payload(const Response& response,
                                  Response::Payload want);
 
-    Channel* channel_ = nullptr;
-    WireChannel* wire_ = nullptr;
+    WireChannel* channel_;
 };
 
 }  // namespace ndb::control

@@ -16,6 +16,10 @@ Status apply_config_op(RuntimeApi& rt, const ConfigOp& op) {
                                      op.value);
         case ConfigOp::Kind::configure_meter:
             return rt.configure_meter(op.target, op.index, op.meter);
+        case ConfigOp::Kind::delete_entry:
+            return rt.delete_entry(rt.resolve_table(op.target), op.entry);
+        case ConfigOp::Kind::clear_table:
+            return rt.clear_table(op.target);
     }
     return Status::failure("unknown config op");
 }

@@ -50,17 +50,26 @@ struct MeterConfig {
     std::uint64_t excess_burst = 0;
 };
 
-// One replayable control-plane programming step.  Scenarios carry these
-// instead of side effects so the identical configuration can be applied to
-// the reference device and every DUT in the sweep -- and shipped as one
-// batched wire request (RuntimeApi::apply).
+// One replayable control-plane programming step, and the only mutation
+// vocabulary on the management wire.  Scenarios carry these instead of side
+// effects so the identical configuration can be applied to the reference
+// device and every DUT in the sweep -- and shipped as one batched wire
+// request (RuntimeApi::apply).  New kinds append: the numeric value is the
+// wire encoding.
 struct ConfigOp {
-    enum class Kind { add_entry, set_default_action, write_register, configure_meter };
+    enum class Kind {
+        add_entry,
+        set_default_action,
+        write_register,
+        configure_meter,
+        delete_entry,
+        clear_table,
+    };
 
     Kind kind = Kind::add_entry;
     std::string target;  // table name, or register/meter extern name
 
-    EntrySpec entry;                  // add_entry
+    EntrySpec entry;                  // add_entry / delete_entry
     std::string action;               // set_default_action
     std::vector<Bitvec> action_args;  // set_default_action
     std::uint64_t index = 0;          // write_register / configure_meter

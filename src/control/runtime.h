@@ -3,7 +3,8 @@
 // This is the management surface a host tool uses to program and inspect a
 // device: table entries, default actions, registers, counters, meters and
 // the status snapshot.  Devices implement it directly; RuntimeClient speaks
-// it over the message channel (the paper's "dedicated interface").
+// it over the wire (the paper's "dedicated interface"), where every mutation
+// travels as a ConfigOp.
 //
 // Two addressing modes coexist.  The string overloads name tables and
 // externs the way P4 source does and re-resolve on every call; the handle
@@ -12,6 +13,12 @@
 // entries actually does.  Handles are invalidated by load(): backends bump
 // a generation counter, and an op presented with a stale handle fails
 // loudly instead of poking whatever now owns that id.
+//
+// The virtual member set below -- both overload families included -- is
+// frozen for now: the campaign benchmark's timing proxy (perfbench/)
+// overrides every member, and the benchmark's sources change only together
+// with the benchmark itself.  Collapsing the string overloads onto handles
+// waits for such a change.
 #pragma once
 
 #include <cstdint>

@@ -140,6 +140,38 @@ void FaultInjector::tick(std::vector<std::vector<std::uint8_t>>& out) {
 
 // --- device-side endpoint -----------------------------------------------------
 
+namespace {
+
+// Executes one decoded request against the device runtime.
+Response dispatch(RuntimeApi& device, const Request& request) {
+    Response resp;
+    std::visit(
+        [&](const auto& req) {
+            using T = std::decay_t<decltype(req)>;
+            if constexpr (std::is_same_v<T, ApplyConfigReq>) {
+                resp.op_statuses = device.apply(req.ops);
+                resp.payload = Response::Payload::op_statuses;
+            } else if constexpr (std::is_same_v<T, ReadRegisterReq>) {
+                resp.status = device.read_register(req.name, req.index,
+                                                   resp.register_value);
+                if (resp.status.ok) resp.payload = Response::Payload::register_value;
+            } else if constexpr (std::is_same_v<T, ReadCounterReq>) {
+                resp.status = device.read_counter(req.name, req.index,
+                                                  resp.counter_value);
+                if (resp.status.ok) resp.payload = Response::Payload::counter_value;
+            } else if constexpr (std::is_same_v<T, SnapshotReq>) {
+                resp.snapshot = device.snapshot();
+                resp.payload = Response::Payload::snapshot;
+            } else if constexpr (std::is_same_v<T, ResetReq>) {
+                resp.status = device.reset_state();
+            }
+        },
+        request);
+    return resp;
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> ControlServer::handle(const wire::Frame& frame) {
     wire::Frame reply;
     reply.kind = wire::FrameKind::control_response;

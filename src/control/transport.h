@@ -16,8 +16,13 @@
 //
 // The device side is ControlServer: it decodes request frames, executes
 // them, and keeps a bounded seq->response cache so a retry of a
-// non-idempotent op (AddEntryReq) is answered from cache instead of being
-// executed twice -- exactly-once effects under at-least-once delivery.
+// non-idempotent request (an ApplyConfigReq carrying add_entry) is answered
+// from cache instead of being executed twice -- exactly-once effects under
+// at-least-once delivery.
+//
+// WireChannel is the only channel to a device: core::Controller reaches
+// its device over a clean LoopbackTransport, the campaign's
+// management-fault mode over a faulted one.
 #pragma once
 
 #include <cstdint>

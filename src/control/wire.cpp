@@ -375,6 +375,7 @@ void write_config_op(Writer& w, const ConfigOp& op) {
     w.str(op.target);
     switch (op.kind) {
         case ConfigOp::Kind::add_entry:
+        case ConfigOp::Kind::delete_entry:
             write_entry(w, op.entry);
             break;
         case ConfigOp::Kind::set_default_action:
@@ -389,18 +390,21 @@ void write_config_op(Writer& w, const ConfigOp& op) {
             w.u64(op.index);
             write_meter(w, op.meter);
             break;
+        case ConfigOp::Kind::clear_table:
+            break;
     }
 }
 
 bool read_config_op(Reader& r, ConfigOp& op) {
     std::uint8_t kind;
     if (!(r.u8(kind) && r.str(op.target))) return false;
-    if (kind > static_cast<std::uint8_t>(ConfigOp::Kind::configure_meter)) {
+    if (kind > static_cast<std::uint8_t>(ConfigOp::Kind::clear_table)) {
         return r.fail(util::format("unknown config op kind %u", kind));
     }
     op.kind = static_cast<ConfigOp::Kind>(kind);
     switch (op.kind) {
         case ConfigOp::Kind::add_entry:
+        case ConfigOp::Kind::delete_entry:
             return read_entry(r, op.entry);
         case ConfigOp::Kind::set_default_action:
             return r.str(op.action) && read_bitvec_seq(r, op.action_args);
@@ -408,6 +412,8 @@ bool read_config_op(Reader& r, ConfigOp& op) {
             return r.u64(op.index) && r.bitvec(op.value);
         case ConfigOp::Kind::configure_meter:
             return r.u64(op.index) && read_meter(r, op.meter);
+        case ConfigOp::Kind::clear_table:
+            return true;
     }
     return false;
 }
@@ -511,31 +517,13 @@ std::vector<std::uint8_t> encode_request(const Request& request) {
     std::visit(
         [&](const auto& req) {
             using T = std::decay_t<decltype(req)>;
-            if constexpr (std::is_same_v<T, AddEntryReq> ||
-                          std::is_same_v<T, DeleteEntryReq>) {
-                w.str(req.table);
-                write_entry(w, req.entry);
-            } else if constexpr (std::is_same_v<T, SetDefaultReq>) {
-                w.str(req.table);
-                w.str(req.action);
-                write_bitvec_seq(w, req.args);
-            } else if constexpr (std::is_same_v<T, ClearTableReq>) {
-                w.str(req.table);
-            } else if constexpr (std::is_same_v<T, WriteRegisterReq>) {
-                w.str(req.name);
-                w.u64(req.index);
-                w.bitvec(req.value);
+            if constexpr (std::is_same_v<T, ApplyConfigReq>) {
+                w.u32(static_cast<std::uint32_t>(req.ops.size()));
+                for (const ConfigOp& op : req.ops) write_config_op(w, op);
             } else if constexpr (std::is_same_v<T, ReadRegisterReq> ||
                                  std::is_same_v<T, ReadCounterReq>) {
                 w.str(req.name);
                 w.u64(req.index);
-            } else if constexpr (std::is_same_v<T, ConfigureMeterReq>) {
-                w.str(req.name);
-                w.u64(req.index);
-                write_meter(w, req.config);
-            } else if constexpr (std::is_same_v<T, ApplyConfigReq>) {
-                w.u32(static_cast<std::uint32_t>(req.ops.size()));
-                for (const ConfigOp& op : req.ops) write_config_op(w, op);
             }
             // SnapshotReq / ResetReq carry no fields beyond the tag.
         },
@@ -550,57 +538,6 @@ Decode decode_request(std::span<const std::uint8_t> payload, Request& out) {
     bool ok = true;
     switch (tag) {
         case 0: {
-            AddEntryReq req;
-            ok = r.str(req.table) && read_entry(r, req.entry);
-            out = std::move(req);
-            break;
-        }
-        case 1: {
-            DeleteEntryReq req;
-            ok = r.str(req.table) && read_entry(r, req.entry);
-            out = std::move(req);
-            break;
-        }
-        case 2: {
-            SetDefaultReq req;
-            ok = r.str(req.table) && r.str(req.action) &&
-                 read_bitvec_seq(r, req.args);
-            out = std::move(req);
-            break;
-        }
-        case 3: {
-            ClearTableReq req;
-            ok = r.str(req.table);
-            out = std::move(req);
-            break;
-        }
-        case 4: {
-            WriteRegisterReq req;
-            ok = r.str(req.name) && r.u64(req.index) && r.bitvec(req.value);
-            out = std::move(req);
-            break;
-        }
-        case 5: {
-            ReadRegisterReq req;
-            ok = r.str(req.name) && r.u64(req.index);
-            out = std::move(req);
-            break;
-        }
-        case 6: {
-            ReadCounterReq req;
-            ok = r.str(req.name) && r.u64(req.index);
-            out = std::move(req);
-            break;
-        }
-        case 7: {
-            ConfigureMeterReq req;
-            ok = r.str(req.name) && r.u64(req.index) && read_meter(r, req.config);
-            out = std::move(req);
-            break;
-        }
-        case 8: out = SnapshotReq{}; break;
-        case 9: out = ResetReq{}; break;
-        case 10: {
             ApplyConfigReq req;
             std::uint32_t n = 0;
             ok = r.count(n);
@@ -616,6 +553,20 @@ Decode decode_request(std::span<const std::uint8_t> payload, Request& out) {
             out = std::move(req);
             break;
         }
+        case 1: {
+            ReadRegisterReq req;
+            ok = r.str(req.name) && r.u64(req.index);
+            out = std::move(req);
+            break;
+        }
+        case 2: {
+            ReadCounterReq req;
+            ok = r.str(req.name) && r.u64(req.index);
+            out = std::move(req);
+            break;
+        }
+        case 3: out = SnapshotReq{}; break;
+        case 4: out = ResetReq{}; break;
         default:
             return Decode::bad(util::format("unknown request tag %u", tag));
     }

@@ -35,7 +35,10 @@
 namespace ndb::control::wire {
 
 inline constexpr std::uint32_t kMagic = 0x4244'4e57u;  // "WNDB" on the wire
-inline constexpr std::uint8_t kVersion = 1;
+// Bumped whenever a payload encoding changes.  The request tag is the
+// Request variant index, so a peer that numbers requests differently must
+// fail at the header, never mid-payload.
+inline constexpr std::uint8_t kVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 26;
 inline constexpr std::size_t kMaxPayloadBytes = 1u << 20;
 

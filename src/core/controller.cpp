@@ -6,11 +6,10 @@
 namespace ndb::core {
 
 Controller::Controller(target::Device& device)
-    : device_(device), client_(channel_) {
-    channel_.bind([this](const control::Request& req) {
-        return control::dispatch(device_, req);
-    });
-}
+    : device_(device),
+      transport_(device.runtime()),
+      channel_(transport_),
+      client_(channel_) {}
 
 control::Status Controller::load_program(std::string_view source, std::string name) {
     try {

@@ -1,6 +1,7 @@
 // NetDebug controller: the software tool on the host (paper Figure 1).
 //
-// Owns the dedicated control channel to the device, programs the DUT and
+// Owns the dedicated management link to the device (a RuntimeClient over a
+// WireChannel on a clean LoopbackTransport), programs the DUT and
 // the two in-device modules (generator + checker), runs validation
 // campaigns, and gathers results: check reports, status snapshots and the
 // derived silent-loss accounting.
@@ -11,6 +12,7 @@
 #include <string_view>
 
 #include "control/channel.h"
+#include "control/transport.h"
 #include "core/checker.h"
 #include "core/generator.h"
 #include "core/testspec.h"
@@ -48,7 +50,8 @@ public:
 
 private:
     target::Device& device_;
-    control::Channel channel_;
+    control::LoopbackTransport transport_;
+    control::WireChannel channel_;
     control::RuntimeClient client_;
 };
 

@@ -101,7 +101,7 @@ DeviceRun run_scenario_on(target::Device& dev, const Scenario& sc,
                 !st.ok && util::starts_with(st.message, "wire:"));
         }
         if (acct != nullptr) {
-            const control::ChannelStats& cs = channel.stats();
+            const auto& cs = channel.stats();
             acct->requests += cs.requests;
             acct->frames_sent += cs.frames_sent;
             acct->retries += cs.retries;

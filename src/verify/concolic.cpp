@@ -33,8 +33,6 @@ void ConcolicSynthesizer::ensure_explored() {
     explored_ = true;
     SymExecOptions opts;
     opts.max_paths = options_.max_paths;
-    // Invalid-read tracking only produces warnings; skip the bookkeeping.
-    opts.track_invalid_reads = false;
     SymExec exec(prog_, pool_, opts);
     SymExecResult result = exec.explore();
     paths_ = std::move(result.paths);

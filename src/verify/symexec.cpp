@@ -39,9 +39,7 @@ SymPath SymExec::finish_path(State&& st, SExpr condition, PathEnd end) {
     path.condition = std::move(condition);
     path.headers = std::move(st.headers);
     path.end = end;
-    path.egress_assigned = st.egress_assigned;
     path.table_choices = std::move(st.table_choices);
-    path.warnings = std::move(st.warnings);
     path.parser_edges = std::move(st.parser_edges);
     path.final_parser_state = st.final_parser_state;
     path.branches = std::move(st.branches);
@@ -85,12 +83,6 @@ SExpr SymExec::eval(const Expr& e, State& state) {
         case Expr::Kind::constant:
             return sv_const(e.cvalue);
         case Expr::Kind::field: {
-            const auto& hdr = prog_.headers[static_cast<std::size_t>(e.fref.header)];
-            if (options_.track_invalid_reads && !hdr.is_metadata &&
-                !state.headers[static_cast<std::size_t>(e.fref.header)].valid) {
-                state.warnings.push_back("read of field " + prog_.field_name(e.fref) +
-                                         " while header may be invalid");
-            }
             return state.headers[static_cast<std::size_t>(e.fref.header)]
                 .fields[static_cast<std::size_t>(e.fref.field)];
         }
@@ -264,7 +256,6 @@ void SymExec::exec_body(const std::vector<p4::ir::StmtPtr>& body, std::size_t fr
         switch (s.kind) {
             case Stmt::Kind::assign_field: {
                 const SExpr v = eval(*s.value, state);
-                if (s.dst == prog_.f_egress_spec) state.egress_assigned = true;
                 state.headers[static_cast<std::size_t>(s.dst.header)]
                     .fields[static_cast<std::size_t>(s.dst.field)] =
                     sv_resize(v, prog_.field(s.dst).width);
@@ -399,7 +390,6 @@ void SymExec::exec_body(const std::vector<p4::ir::StmtPtr>& body, std::size_t fr
                             .fields[static_cast<std::size_t>(
                                 prog_.f_egress_spec.field)] =
                             sv_const_u(9, p4::ir::kDropPort);
-                        state.egress_assigned = true;
                         continue;
                     case p4::ir::ExternKind::register_read: {
                         // Device state is unconstrained at verification time.

@@ -43,9 +43,7 @@ struct SymPath {
     SExpr condition;                 // conjunction of branch constraints
     std::vector<SymHeader> headers;  // state at the end of the path
     PathEnd end = PathEnd::forwarded;
-    bool egress_assigned = false;    // was egress_spec written on this path?
     std::vector<std::pair<int, int>> table_choices;  // (table id, action id)
-    std::vector<std::string> warnings;  // e.g. reads of possibly-invalid headers
 
     // --- execution trace, mirrors the coverage instrumentation sites ---
     // Parser transitions taken, (from, to) with to possibly kAccept/kReject.
@@ -77,8 +75,6 @@ struct SymExecResult {
 
 struct SymExecOptions {
     int max_paths = 4096;
-    // Treat reads of invalid (non-metadata) headers as warnings.
-    bool track_invalid_reads = true;
 };
 
 class SymExec {
@@ -111,9 +107,7 @@ private:
         std::vector<SExpr> locals;
         std::vector<SExpr> params;
         bool exited = false;
-        bool egress_assigned = false;
         std::vector<std::pair<int, int>> table_choices;
-        std::vector<std::string> warnings;
         std::vector<std::pair<int, int>> parser_edges;
         int final_parser_state = p4::ir::kAccept;
         std::vector<std::pair<const p4::ir::Stmt*, bool>> branches;

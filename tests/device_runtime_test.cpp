@@ -1,9 +1,10 @@
-// Management-plane round trips: RuntimeClient -> Channel -> dispatch ->
-// device.  Proves the paper's "dedicated interface" works end-to-end as
-// messages, not as direct calls.
+// Management-plane round trips: RuntimeClient -> WireChannel ->
+// LoopbackTransport -> ControlServer -> device.  Proves the paper's
+// "dedicated interface" works end-to-end as messages, not as direct calls.
 #include <gtest/gtest.h>
 
 #include "control/channel.h"
+#include "control/transport.h"
 #include "core/controller.h"
 #include "core/tools.h"
 #include "p4/compiler.h"
@@ -18,20 +19,37 @@ using namespace ndb;
 // A host-side client wired to a device exactly like Controller does it.
 struct Rig {
     std::unique_ptr<target::Device> device = target::make_reference_device();
-    control::Channel channel;
+    control::LoopbackTransport transport{device->runtime()};
+    control::WireChannel channel{transport};
     control::RuntimeClient client{channel};
-
-    Rig() {
-        channel.bind([this](const control::Request& req) {
-            return control::dispatch(*device, req);
-        });
-    }
 
     void load(std::string_view source, std::string name) {
         const auto prog = p4::compile_source(source, std::move(name));
         ASSERT_TRUE(device->load(*prog));
     }
 };
+
+// A dmac op keyed on host_mac(host); `port` only matters for add_entry.
+control::ConfigOp dmac_op(control::ConfigOp::Kind kind, int host,
+                          std::uint32_t port = 0) {
+    const packet::Mac mac = core::scenario::host_mac(host);
+    control::ConfigOp op;
+    op.kind = kind;
+    op.target = "dmac";
+    op.entry.key_values = {util::Bitvec::from_bytes(
+        std::span<const std::uint8_t>(mac.data(), mac.size()), 48)};
+    op.entry.action = "forward";
+    op.entry.action_args = {util::Bitvec(9, port)};
+    return op;
+}
+
+// An IPv4/UDP packet from port 0 to host_mac(host).
+packet::Packet packet_to(int host) {
+    packet::Packet pkt = core::scenario::ipv4_udp_packet();
+    pkt.set_byte(5, static_cast<std::uint8_t>(host));
+    pkt.meta.ingress_port = 0;
+    return pkt;
+}
 
 TEST(DeviceRuntime, AddEntryProgramsTheDataPath) {
     Rig rig;
@@ -46,7 +64,7 @@ TEST(DeviceRuntime, AddEntryProgramsTheDataPath) {
     }
 
     ASSERT_TRUE(core::scenario::add_l2_entry(rig.client, core::scenario::host_mac(2), 3));
-    EXPECT_EQ(rig.channel.requests_sent(), 1u);
+    EXPECT_EQ(rig.channel.stats().requests, 1u);
 
     rig.device->inject(pkt);
     auto out = rig.device->drain_port(3);
@@ -129,6 +147,46 @@ TEST(DeviceRuntime, ResetStateClearsDynamicStateKeepsConfig) {
     EXPECT_EQ(snap.tables[0].entries, 1u);
     rig.device->inject(pkt);
     EXPECT_EQ(rig.device->drain_port(2).size(), 1u);
+}
+
+TEST(DeviceRuntime, DeleteEntryAndClearTableOverTheWire) {
+    using Kind = control::ConfigOp::Kind;
+    Rig rig;
+    rig.load(p4::programs::l2_switch(), "l2_switch");
+
+    ASSERT_TRUE(rig.client.add_entry("dmac", dmac_op(Kind::add_entry, 2, 3).entry));
+    ASSERT_TRUE(rig.client.add_entry("dmac", dmac_op(Kind::add_entry, 3, 1).entry));
+    ASSERT_TRUE(rig.client.delete_entry("dmac", dmac_op(Kind::delete_entry, 2).entry));
+
+    // The deleted entry's packet hits the drop default; the other forwards.
+    rig.device->inject(packet_to(2));
+    rig.device->inject(packet_to(3));
+    EXPECT_EQ(rig.device->drain_port(3).size(), 0u);
+    EXPECT_EQ(rig.device->drain_port(1).size(), 1u);
+
+    ASSERT_TRUE(rig.client.clear_table("dmac"));
+    const control::StatusSnapshot snap = rig.client.snapshot();
+    ASSERT_EQ(snap.tables.size(), 1u);
+    EXPECT_EQ(snap.tables[0].entries, 0u);
+
+    // The same ops as one apply() batch on a direct device end in an
+    // identical snapshot.  Both devices see two packets (the clock advances
+    // per packet) and then zero their counters, so what is compared is the
+    // configured state.
+    auto direct = target::make_reference_device();
+    const auto prog = p4::compile_source(p4::programs::l2_switch(), "l2_switch");
+    ASSERT_TRUE(direct->load(*prog));
+    const std::vector<control::ConfigOp> batch = {
+        dmac_op(Kind::add_entry, 2, 3), dmac_op(Kind::add_entry, 3, 1),
+        dmac_op(Kind::delete_entry, 2), dmac_op(Kind::clear_table, 0)};
+    for (const control::Status& st : direct->apply(batch)) {
+        EXPECT_TRUE(st.ok) << st.message;
+    }
+    direct->inject(packet_to(2));
+    direct->inject(packet_to(3));
+    ASSERT_TRUE(direct->reset_state());
+    ASSERT_TRUE(rig.client.reset_state());
+    EXPECT_EQ(direct->snapshot().to_string(), rig.client.snapshot().to_string());
 }
 
 TEST(DeviceRuntime, ControllerCampaignOverTheChannel) {

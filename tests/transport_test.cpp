@@ -1,12 +1,14 @@
 // Faultable transports + resilient wire client: FaultPlan parsing, clean
 // loopback equivalence with direct dispatch, retry/dedup behaviour under
-// injected faults, deterministic channel accounting, and the FdTransport
-// byte-stream path the fabric runs on.
+// injected faults, deterministic channel accounting, the client's response
+// validation against a scripted server, and the FdTransport byte-stream
+// path the fabric runs on.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -37,6 +39,42 @@ struct WireRig {
     LoopbackTransport transport{device->runtime()};
     WireChannel channel{transport};
     RuntimeClient client{channel};
+};
+
+// Test-only transport: decodes each request frame and answers it at once
+// with a well-formed response frame (same seq) built by `answer`, so a test
+// can script exactly what the server says.
+class ScriptedTransport final : public Transport {
+public:
+    explicit ScriptedTransport(std::function<Response(const Request&)> answer)
+        : answer_(std::move(answer)) {}
+
+    void send(std::span<const std::uint8_t> bytes) override {
+        wire::Frame frame;
+        Request request;
+        if (!wire::decode_frame(bytes, frame) ||
+            !wire::decode_request(frame.payload, request)) {
+            ADD_FAILURE() << "client sent an undecodable request frame";
+            return;
+        }
+        frame.kind = wire::FrameKind::control_response;
+        frame.payload = wire::encode_response(answer_(request));
+        const std::vector<std::uint8_t> reply = wire::encode_frame(frame);
+        rx_.insert(rx_.end(), reply.begin(), reply.end());
+    }
+
+    bool receive(std::vector<std::uint8_t>& out) override {
+        if (rx_.empty()) return false;
+        out.insert(out.end(), rx_.begin(), rx_.end());
+        rx_.clear();
+        return true;
+    }
+
+    void tick() override {}
+
+private:
+    std::function<Response(const Request&)> answer_;
+    std::vector<std::uint8_t> rx_;
 };
 
 // --- fault plan parsing -------------------------------------------------------
@@ -133,7 +171,7 @@ TEST(WireChannelLoopback, DuplicatedRequestsStayExactlyOnce) {
                         .ok);
     }
     EXPECT_GT(rig.transport.server_stats().dedup_hits, 0u);
-    // Identical device-visible state: the duplicated AddEntry frames did
+    // Identical device-visible state: the duplicated add_entry frames did
     // not program anything twice.
     EXPECT_EQ(rig.device->snapshot().to_string(),
               direct_dev->snapshot().to_string());
@@ -179,6 +217,46 @@ TEST(WireChannelLoopback, FaultScheduleIsDeterministic) {
     const std::string first = run();
     EXPECT_EQ(first, run());
     EXPECT_EQ(first, run());
+}
+
+// --- response validation -----------------------------------------------------
+
+TEST(WireClient, PayloadDiscriminatorMismatchIsAProtocolError) {
+    // A server that answers a register read with the wrong payload kind:
+    // the typed client must surface a protocol error, not hand back a
+    // default-constructed Bitvec.
+    ScriptedTransport transport([](const Request&) {
+        Response r;
+        r.payload = Response::Payload::counter_value;
+        r.counter_value = {5, 5};
+        return r;
+    });
+    WireChannel channel{transport};
+    RuntimeClient client{channel};
+    util::Bitvec out;
+    const Status st = client.read_register("reg", 0, out);
+    EXPECT_FALSE(st.ok);
+    EXPECT_NE(st.message.find("payload"), std::string::npos) << st.message;
+}
+
+TEST(WireClient, StatusCountMismatchFailsEveryOp) {
+    // Two statuses for a three-op batch: no op may be taken as applied.
+    ScriptedTransport transport([](const Request&) {
+        Response r;
+        r.payload = Response::Payload::op_statuses;
+        r.op_statuses = {Status::success(), Status::success()};
+        return r;
+    });
+    WireChannel channel{transport};
+    RuntimeClient client{channel};
+    const std::vector<ConfigOp> ops(3);
+    const std::vector<Status> statuses = client.apply(ops);
+    ASSERT_EQ(statuses.size(), 3u);
+    for (const Status& st : statuses) {
+        EXPECT_FALSE(st.ok);
+        EXPECT_NE(st.message.find("2 status(es) for 3 op(s)"), std::string::npos)
+            << st.message;
+    }
 }
 
 // --- fd transport -------------------------------------------------------------

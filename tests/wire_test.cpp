@@ -1,7 +1,7 @@
-// Wire codec: randomized round-trips for every request/response variant,
-// adversarial decoding (truncation, bit flips, hostile length fields, wrong
-// version), FrameReader resynchronization over a mangled stream, and the
-// Response payload-discriminator / unbound-channel regression tests.
+// Wire codec: randomized round-trips for every request/response variant and
+// config op kind, adversarial decoding (truncation, bit flips, hostile length
+// fields, wrong version, unknown tags and kinds), and FrameReader
+// resynchronization over a mangled stream.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -68,10 +68,17 @@ MeterConfig random_meter(util::Rng& rng) {
 ConfigOp random_config_op(util::Rng& rng) {
     ConfigOp op;
     op.target = random_name(rng);
-    switch (rng.next_below(4)) {
+    switch (rng.next_below(6)) {
         case 0:
             op.kind = ConfigOp::Kind::add_entry;
             op.entry = random_entry(rng);
+            break;
+        case 4:
+            op.kind = ConfigOp::Kind::delete_entry;
+            op.entry = random_entry(rng);
+            break;
+        case 5:
+            op.kind = ConfigOp::Kind::clear_table;
             break;
         case 1: {
             op.kind = ConfigOp::Kind::set_default_action;
@@ -87,7 +94,7 @@ ConfigOp random_config_op(util::Rng& rng) {
             op.index = rng.next_below(64);
             op.value = random_bitvec(rng);
             break;
-        default:
+        case 3:
             op.kind = ConfigOp::Kind::configure_meter;
             op.index = rng.next_below(64);
             op.meter = random_meter(rng);
@@ -97,30 +104,8 @@ ConfigOp random_config_op(util::Rng& rng) {
 }
 
 Request random_request(util::Rng& rng) {
-    switch (rng.next_below(11)) {
-        case 0: return AddEntryReq{random_name(rng), random_entry(rng)};
-        case 1: return DeleteEntryReq{random_name(rng), random_entry(rng)};
-        case 2: {
-            SetDefaultReq r;
-            r.table = random_name(rng);
-            r.action = random_name(rng);
-            const std::size_t args = rng.next_below(3);
-            for (std::size_t i = 0; i < args; ++i) {
-                r.args.push_back(random_bitvec(rng));
-            }
-            return r;
-        }
-        case 3: return ClearTableReq{random_name(rng)};
-        case 4:
-            return WriteRegisterReq{random_name(rng), rng.next_below(64),
-                                    random_bitvec(rng)};
-        case 5: return ReadRegisterReq{random_name(rng), rng.next_below(64)};
-        case 6: return ReadCounterReq{random_name(rng), rng.next_below(64)};
-        case 7:
-            return ConfigureMeterReq{random_name(rng), rng.next_below(64),
-                                     random_meter(rng)};
-        case 8: return SnapshotReq{};
-        case 9: {
+    switch (rng.next_below(5)) {
+        case 0: {
             ApplyConfigReq r;
             const std::size_t ops = rng.next_below(6);
             for (std::size_t i = 0; i < ops; ++i) {
@@ -128,6 +113,9 @@ Request random_request(util::Rng& rng) {
             }
             return r;
         }
+        case 1: return ReadRegisterReq{random_name(rng), rng.next_below(64)};
+        case 2: return ReadCounterReq{random_name(rng), rng.next_below(64)};
+        case 3: return SnapshotReq{};
         default: return ResetReq{};
     }
 }
@@ -177,53 +165,28 @@ void expect_entry_eq(const EntrySpec& a, const EntrySpec& b) {
 
 void expect_request_eq(const Request& a, const Request& b) {
     ASSERT_EQ(a.index(), b.index());
-    if (const auto* x = std::get_if<AddEntryReq>(&a)) {
-        const auto& y = std::get<AddEntryReq>(b);
-        EXPECT_EQ(x->table, y.table);
-        expect_entry_eq(x->entry, y.entry);
-    } else if (const auto* x2 = std::get_if<DeleteEntryReq>(&a)) {
-        const auto& y = std::get<DeleteEntryReq>(b);
-        EXPECT_EQ(x2->table, y.table);
-        expect_entry_eq(x2->entry, y.entry);
-    } else if (const auto* x3 = std::get_if<SetDefaultReq>(&a)) {
-        const auto& y = std::get<SetDefaultReq>(b);
-        EXPECT_EQ(x3->table, y.table);
-        EXPECT_EQ(x3->action, y.action);
-        EXPECT_EQ(x3->args, y.args);
-    } else if (const auto* x4 = std::get_if<ClearTableReq>(&a)) {
-        EXPECT_EQ(x4->table, std::get<ClearTableReq>(b).table);
-    } else if (const auto* x5 = std::get_if<WriteRegisterReq>(&a)) {
-        const auto& y = std::get<WriteRegisterReq>(b);
-        EXPECT_EQ(x5->name, y.name);
-        EXPECT_EQ(x5->index, y.index);
-        EXPECT_EQ(x5->value, y.value);
-    } else if (const auto* x6 = std::get_if<ReadRegisterReq>(&a)) {
+    if (const auto* x = std::get_if<ReadRegisterReq>(&a)) {
         const auto& y = std::get<ReadRegisterReq>(b);
-        EXPECT_EQ(x6->name, y.name);
-        EXPECT_EQ(x6->index, y.index);
-    } else if (const auto* x7 = std::get_if<ReadCounterReq>(&a)) {
+        EXPECT_EQ(x->name, y.name);
+        EXPECT_EQ(x->index, y.index);
+    } else if (const auto* x2 = std::get_if<ReadCounterReq>(&a)) {
         const auto& y = std::get<ReadCounterReq>(b);
-        EXPECT_EQ(x7->name, y.name);
-        EXPECT_EQ(x7->index, y.index);
-    } else if (const auto* x8 = std::get_if<ConfigureMeterReq>(&a)) {
-        const auto& y = std::get<ConfigureMeterReq>(b);
-        EXPECT_EQ(x8->name, y.name);
-        EXPECT_EQ(x8->index, y.index);
-        EXPECT_EQ(x8->config.committed_rate_bps, y.config.committed_rate_bps);
-        EXPECT_EQ(x8->config.committed_burst, y.config.committed_burst);
-        EXPECT_EQ(x8->config.excess_rate_bps, y.config.excess_rate_bps);
-        EXPECT_EQ(x8->config.excess_burst, y.config.excess_burst);
-    } else if (const auto* x9 = std::get_if<ApplyConfigReq>(&a)) {
+        EXPECT_EQ(x2->name, y.name);
+        EXPECT_EQ(x2->index, y.index);
+    } else if (const auto* x3 = std::get_if<ApplyConfigReq>(&a)) {
         const auto& y = std::get<ApplyConfigReq>(b);
-        ASSERT_EQ(x9->ops.size(), y.ops.size());
-        for (std::size_t i = 0; i < x9->ops.size(); ++i) {
-            const ConfigOp& p = x9->ops[i];
+        ASSERT_EQ(x3->ops.size(), y.ops.size());
+        for (std::size_t i = 0; i < x3->ops.size(); ++i) {
+            const ConfigOp& p = x3->ops[i];
             const ConfigOp& q = y.ops[i];
             ASSERT_EQ(p.kind, q.kind);
             EXPECT_EQ(p.target, q.target);
             switch (p.kind) {
                 case ConfigOp::Kind::add_entry:
+                case ConfigOp::Kind::delete_entry:
                     expect_entry_eq(p.entry, q.entry);
+                    break;
+                case ConfigOp::Kind::clear_table:
                     break;
                 case ConfigOp::Kind::set_default_action:
                     EXPECT_EQ(p.action, q.action);
@@ -420,11 +383,16 @@ TEST(WireCodec, HostileHeaderFieldsRejected) {
     const auto clean = wire::encode_frame(f);
     wire::Frame out;
 
-    auto wrong_version = clean;
-    wrong_version[4] = wire::kVersion + 1;
-    wire::Decode d = wire::decode_frame(wrong_version, out);
-    EXPECT_FALSE(d.ok);
-    EXPECT_NE(d.reason.find("version"), std::string::npos) << d.reason;
+    // Newer and older peers alike fail at the header: a version-1 peer
+    // numbers its request tags differently.
+    wire::Decode d;
+    for (const int version : {wire::kVersion + 1, wire::kVersion - 1}) {
+        auto wrong_version = clean;
+        wrong_version[4] = static_cast<std::uint8_t>(version);
+        d = wire::decode_frame(wrong_version, out);
+        EXPECT_FALSE(d.ok) << version;
+        EXPECT_NE(d.reason.find("version"), std::string::npos) << d.reason;
+    }
 
     auto wrong_kind = clean;
     wrong_kind[5] = 0;  // below the FrameKind range
@@ -475,6 +443,23 @@ TEST(WireCodec, RequestDecoderSurvivesTruncationAndGarbage) {
         Request out;
         (void)wire::decode_request(noise, out);
     }
+
+    // One past the last request tag and one past the last config op kind.
+    Request out;
+    const std::vector<std::uint8_t> bad_tag = {5};
+    wire::Decode d = wire::decode_request(bad_tag, out);
+    EXPECT_FALSE(d.ok);
+    EXPECT_NE(d.reason.find("unknown request tag 5"), std::string::npos)
+        << d.reason;
+    wire::Writer w;
+    w.u8(0);    // ApplyConfigReq
+    w.u32(1);   // one op
+    w.u8(6);    // kind
+    w.str("t");
+    d = wire::decode_request(w.take(), out);
+    EXPECT_FALSE(d.ok);
+    EXPECT_NE(d.reason.find("unknown config op kind 6"), std::string::npos)
+        << d.reason;
 }
 
 TEST(WireCodec, BitvecWithDirtyExcessBitsRejected) {
@@ -566,37 +551,6 @@ TEST(FrameReader, CorruptFrameDoesNotPoisonSuccessors) {
     EXPECT_FALSE(reader.next(out));
     EXPECT_EQ(reader.stats().corrupt_frames, 1u);
     EXPECT_FALSE(reader.stats().last_error.empty());
-}
-
-// --- channel regressions ------------------------------------------------------
-
-TEST(Channel, TransactOnUnboundChannelFailsCleanly) {
-    // Regression: transact() on a channel nobody bind()-ed must return a
-    // failure Status, not call an empty std::function.
-    Channel ch;
-    const Response r = ch.transact(SnapshotReq{});
-    EXPECT_FALSE(r.status.ok);
-    EXPECT_NE(r.status.message.find("not bound"), std::string::npos)
-        << r.status.message;
-    EXPECT_EQ(r.payload, Response::Payload::none);
-}
-
-TEST(Channel, PayloadDiscriminatorMismatchIsAProtocolError) {
-    // A handler that answers a register read with the wrong payload kind:
-    // the typed client must surface a protocol error, not hand back a
-    // default-constructed Bitvec.
-    Channel ch;
-    ch.bind([](const Request&) {
-        Response r;
-        r.payload = Response::Payload::counter_value;
-        r.counter_value = {5, 5};
-        return r;
-    });
-    RuntimeClient client(ch);
-    util::Bitvec out;
-    const Status st = client.read_register("reg", 0, out);
-    EXPECT_FALSE(st.ok);
-    EXPECT_NE(st.message.find("payload"), std::string::npos) << st.message;
 }
 
 }  // namespace
