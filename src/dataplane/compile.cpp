@@ -953,7 +953,6 @@ void CompiledPipeline::exec(std::uint32_t pc, PacketState& state) {
                                       cov_salt_ ^ static_cast<std::uint64_t>(in.a),
                                       hit ? 1 : 0);
                 }
-                applies_.push_back({in.a, hit, entry.action_id});
                 if (coverage_) {
                     coverage_->record(
                         coverage::Site::action,

@@ -61,9 +61,6 @@ public:
     // [0, size_bits) contiguously.
     packet::Packet deparse(const PacketState& state) const;
 
-    const std::vector<TableApply>& applies() const { return applies_; }
-    void clear_applies() { applies_.clear(); }
-
     // Same contract as Interpreter::set_coverage / ParserEngine::set_coverage:
     // the compiled stream records the identical sites with the identical
     // salts, so the two engines fill the same CoverageMap slots.
@@ -92,7 +89,6 @@ private:
     // TableSet at construction (Slot pointers are stable for its lifetime).
     std::vector<TableSet::Slot*> slots_;
 
-    std::vector<TableApply> applies_;
     coverage::CoverageMap* coverage_ = nullptr;
     std::uint64_t cov_salt_ = 0;  // program_salt(prog_.name) ^ device salt
 

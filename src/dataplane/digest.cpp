@@ -1,26 +1,30 @@
 #include "dataplane/digest.h"
 
+#include <bit>
 
 namespace ndb::dataplane {
 
 namespace {
 
-inline std::uint64_t fnv1a_byte(std::uint64_t h, unsigned char b) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-    return h;
+// MurmurHash3 x64 body step.  The word pre-mix does not depend on `h`, so
+// consecutive words overlap in the pipeline; the dependent chain through
+// `h` is one xor, one rotate and one multiply-add per word.
+inline std::uint64_t mix_word(std::uint64_t h, std::uint64_t w) {
+    w *= 0x87c37b91114253d5ull;
+    w = std::rotl(w, 31);
+    w *= 0x4cf5ad432745937full;
+    h ^= w;
+    h = std::rotl(h, 27);
+    return h * 5 + 0x52dce729;
 }
 
-// Folds in the exact character sequence of v.to_hex() without building it;
-// digit count and values come from the same Bitvec accessors to_hex() uses,
-// so the two renderings cannot drift apart.
-std::uint64_t fnv1a_hex(std::uint64_t h, const util::Bitvec& v) {
-    static const char* digits = "0123456789abcdef";
-    h = fnv1a_byte(h, '0');
-    h = fnv1a_byte(h, 'x');
-    for (int i = v.hex_digit_count() - 1; i >= 0; --i) {
-        h = fnv1a_byte(h, static_cast<unsigned char>(digits[v.nibble(i)]));
-    }
+// MurmurHash3 fmix64: full avalanche of the running state.
+inline std::uint64_t finalize(std::uint64_t h) {
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
     return h;
 }
 
@@ -31,13 +35,13 @@ std::uint64_t hash_packet_state(const p4::ir::Program& prog,
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (std::size_t i = 0; i < prog.headers.size(); ++i) {
         const auto& inst = state.headers[i];
-        h = fnv1a_byte(h, inst.valid ? 1 : 0);
+        h = mix_word(h, inst.valid ? 1 : 0);
         if (!inst.valid && !prog.headers[i].is_metadata) continue;
         for (const auto& field : inst.fields) {
-            h = fnv1a_hex(h, field);
+            for (const std::uint64_t w : field.word_span()) h = mix_word(h, w);
         }
     }
-    return h;
+    return finalize(h);
 }
 
 }  // namespace ndb::dataplane

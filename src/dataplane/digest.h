@@ -1,15 +1,18 @@
 // Streaming per-stage state digests.
 //
-// hash_packet_state() is the in-place form of the campaign engine's
-// copy-based tap hashing: an order-sensitive FNV-1a over header validity
-// plus every field value (metadata headers included, mirroring
-// FaultLocalizer's comparison).  Field values are folded in as the exact
-// character sequence of Bitvec::to_hex() -- streamed nibble by nibble, so
-// the digest of a live PacketState is bit-identical to hashing a deep copy
-// while never materializing one.
+// hash_packet_state() digests a live PacketState in place: each header's
+// valid flag, then every field's little-endian value words
+// (Bitvec::word_span()), in order.  Fields of an invalid non-metadata
+// header are skipped, mirroring FaultLocalizer's comparison.  Words go
+// through a MurmurHash3-style step and the result through fmix64, so a
+// difference in any bit, high or low, avalanches across the digest; each
+// step is a bijection of the running state, so two states of one program
+// that differ in a single word never share a digest.
 //
-// Timing (cycles) is deliberately excluded: quirked paths may legitimately
-// cost different cycle counts without being behaviourally wrong.
+// Digests are only compared for equality, never printed, so reports do not
+// depend on the algorithm.  Timing (cycles) is deliberately excluded:
+// quirked paths may legitimately cost different cycle counts without being
+// behaviourally wrong.
 #pragma once
 
 #include <cstdint>

@@ -215,7 +215,6 @@ void Interpreter::exec(const Stmt& s, PacketState& state, Frame& frame) {
                                   cov_salt_ ^ static_cast<std::uint64_t>(s.table),
                                   hit ? 1 : 0);
             }
-            applies_.push_back({s.table, hit, entry.action_id});
             run_action(entry.action_id, entry.args, state);
             return;
         }

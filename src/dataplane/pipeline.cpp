@@ -127,14 +127,9 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
         }
     }
 
-    const auto applies = [&]() -> const std::vector<TableApply>& {
-        return compiled ? compiled->applies() : interp_.applies();
-    };
     if (compiled) {
-        compiled->clear_applies();
         compiled->run_ingress(state);
     } else {
-        interp_.clear_applies();
         interp_.run_control(prog_.ingress, state);
     }
     if (options_.capture_taps) result.tap_after_ingress = state;
@@ -144,7 +139,6 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
     if (state.drop_flagged(prog_)) {
         ++counters_.ingress_dropped;
         result.disposition = Disposition::dropped_ingress;
-        result.applies = applies();
         result.cycles = state.cycles;
         return result;
     }
@@ -154,7 +148,6 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
             result.silent_drop = true;
             result.silent_drop_stage = Stage::ingress;
             result.disposition = Disposition::dropped_ingress;
-            result.applies = applies();
             result.cycles = state.cycles;
             return result;
         }
@@ -178,7 +171,6 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
         if (state.drop_flagged(prog_)) {
             ++counters_.egress_dropped;
             result.disposition = Disposition::dropped_egress;
-            result.applies = applies();
             result.cycles = state.cycles;
             return result;
         }
@@ -189,7 +181,6 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
             result.silent_drop = true;
             result.silent_drop_stage = Stage::egress;
             result.disposition = Disposition::dropped_egress;
-            result.applies = applies();
             result.cycles = state.cycles;
             return result;
         }
@@ -210,7 +201,6 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
     result.output.meta.egress_port = static_cast<std::uint32_t>(port);
     result.egress_port = static_cast<std::uint32_t>(port);
     result.disposition = Disposition::forwarded;
-    result.applies = applies();
     result.cycles = state.cycles + 1;  // deparser cycle
     ++counters_.forwarded;
     return result;

@@ -65,7 +65,6 @@ struct PipelineResult {
     packet::Packet output;                 // meaningful when forwarded
     std::uint32_t egress_port = 0;
     std::uint64_t cycles = 0;
-    std::vector<TableApply> applies;
 
     // An injected fault swallowed the packet after this stage; the device's
     // own counters do NOT see such losses (that is what makes them silent).

@@ -23,40 +23,16 @@ std::uint64_t top_mask(int width) {
 
 }  // namespace
 
-Bitvec::Bitvec(int width) : width_(width) {
-    if (width < 0) throw std::invalid_argument("Bitvec: negative width");
-    if (width <= 64) {
-        inline_ = 0;
-    } else {
-        heap_ = new std::uint64_t[static_cast<std::size_t>(words_for(width))]();
-    }
+void Bitvec::init_slow(std::uint64_t low) {
+    if (width_ < 0) throw std::invalid_argument("Bitvec: negative width");
+    heap_ = new std::uint64_t[static_cast<std::size_t>(words_for(width_))]();
+    heap_[0] = low;  // width_ > 64: word 0 is never the (masked) top word
 }
 
-Bitvec::Bitvec(int width, std::uint64_t value) : Bitvec(width) {
-    if (width > 0) {
-        words()[0] = value;
-        normalize();
-    }
-}
-
-Bitvec::Bitvec(const Bitvec& o) : width_(o.width_) {
-    if (is_inline()) {
-        inline_ = o.inline_;
-    } else {
-        const std::size_t n = static_cast<std::size_t>(word_count());
-        heap_ = new std::uint64_t[n];
-        std::memcpy(heap_, o.heap_, n * sizeof(std::uint64_t));
-    }
-}
-
-Bitvec::Bitvec(Bitvec&& o) noexcept : width_(o.width_) {
-    if (is_inline()) {
-        inline_ = o.inline_;
-    } else {
-        heap_ = o.heap_;
-        o.width_ = 0;
-        o.inline_ = 0;
-    }
+void Bitvec::copy_slow(const Bitvec& o) {
+    const std::size_t n = static_cast<std::size_t>(word_count());
+    heap_ = new std::uint64_t[n];
+    std::memcpy(heap_, o.heap_, n * sizeof(std::uint64_t));
 }
 
 Bitvec& Bitvec::operator=(const Bitvec& o) {
@@ -82,20 +58,6 @@ Bitvec& Bitvec::operator=(const Bitvec& o) {
         inline_ = o.inline_;
     } else {
         heap_ = fresh;
-    }
-    return *this;
-}
-
-Bitvec& Bitvec::operator=(Bitvec&& o) noexcept {
-    if (this == &o) return *this;
-    if (!is_inline()) delete[] heap_;
-    width_ = o.width_;
-    if (is_inline()) {
-        inline_ = o.inline_;
-    } else {
-        heap_ = o.heap_;
-        o.width_ = 0;
-        o.inline_ = 0;
     }
     return *this;
 }
@@ -209,11 +171,13 @@ std::vector<std::uint8_t> Bitvec::to_bytes() const {
 
 std::string Bitvec::to_hex() const {
     static const char* digits = "0123456789abcdef";
-    const int n = hex_digit_count();
+    const int n = width_ < 4 ? 1 : (width_ + 3) / 4;  // at least one digit
+    const std::uint64_t* w = words();
     std::string s = "0x";
     s.reserve(2 + static_cast<std::size_t>(n));
     for (int i = n - 1; i >= 0; --i) {
-        s.push_back(digits[nibble(i)]);
+        const int bit = i * 4;  // 4-aligned: a nibble never straddles words
+        s.push_back(digits[(w[bit / 64] >> (bit % 64)) & 0xf]);
     }
     return s;
 }

@@ -26,16 +26,61 @@ public:
     // The zero-width vector: identity for concat, used for "no value".
     Bitvec() = default;
 
-    // Zero value of the given width (width >= 0).
-    explicit Bitvec(int width);
+    // Construction, copy construction and move are inline for the <= 64-bit
+    // case, which runs hundreds of millions of times per campaign; only
+    // negative widths and heap-backed values leave the header (init_slow /
+    // copy_slow).
+
+    // Zero value of the given width (width >= 0; throws
+    // std::invalid_argument otherwise).
+    explicit Bitvec(int width) : width_(width) {
+        if (!is_inline_width(width)) init_slow(0);
+    }
 
     // Low 64 bits taken from `value`, truncated to `width`.
-    Bitvec(int width, std::uint64_t value);
+    Bitvec(int width, std::uint64_t value) : width_(width) {
+        if (is_inline_width(width)) {
+            inline_ = width == 64 ? value : value & ((1ull << width) - 1);
+        } else {
+            init_slow(value);
+        }
+    }
 
-    Bitvec(const Bitvec& o);
-    Bitvec(Bitvec&& o) noexcept;
+    Bitvec(const Bitvec& o) : width_(o.width_) {
+        if (is_inline()) {
+            inline_ = o.inline_;
+        } else {
+            copy_slow(o);
+        }
+    }
+
+    // A moved-from wide value is left as the zero-width vector.
+    Bitvec(Bitvec&& o) noexcept : width_(o.width_) {
+        if (is_inline()) {
+            inline_ = o.inline_;
+        } else {
+            heap_ = o.heap_;
+            o.width_ = 0;
+            o.inline_ = 0;
+        }
+    }
+
     Bitvec& operator=(const Bitvec& o);
-    Bitvec& operator=(Bitvec&& o) noexcept;
+
+    Bitvec& operator=(Bitvec&& o) noexcept {
+        if (this == &o) return *this;
+        if (!is_inline()) delete[] heap_;
+        width_ = o.width_;
+        if (is_inline()) {
+            inline_ = o.inline_;
+        } else {
+            heap_ = o.heap_;
+            o.width_ = 0;
+            o.inline_ = 0;
+        }
+        return *this;
+    }
+
     ~Bitvec() {
         if (!is_inline()) delete[] heap_;
     }
@@ -80,17 +125,6 @@ public:
 
     std::string to_hex() const;           // e.g. "0x0a00_0001" without separators
     std::string to_string() const;        // e.g. "32w0x0a000001"
-
-    // Number of hex digits to_hex() renders (always at least one).
-    int hex_digit_count() const { return width_ < 4 ? 1 : (width_ + 3) / 4; }
-
-    // Value of to_hex()'s digit `i`, 0 = least significant.  Shared by
-    // to_hex() and the streaming digest hasher so the two can never drift.
-    int nibble(int i) const {
-        const int bit = i * 4;  // 4-aligned: a nibble never straddles words
-        if (bit >= width_) return 0;
-        return static_cast<int>((words()[bit / 64] >> (bit % 64)) & 0xf);
-    }
 
     bool is_zero() const;
     bool is_ones() const;
@@ -147,6 +181,10 @@ public:
 
 private:
     static int words_for(int width) { return width <= 64 ? 1 : (width + 63) / 64; }
+    // 0 <= width <= 64, in one unsigned compare.
+    static bool is_inline_width(int width) {
+        return static_cast<unsigned>(width) <= 64u;
+    }
 
     bool is_inline() const { return width_ <= 64; }
     int word_count() const { return words_for(width_); }
@@ -154,6 +192,12 @@ private:
     std::uint64_t* words() { return is_inline() ? &inline_ : heap_; }
 
     void normalize();  // clears bits above width_
+
+    // Out-of-line halves of the inline constructors: init_slow throws on a
+    // negative width_, else allocates the zeroed heap words and stores `low`
+    // in word 0; copy_slow allocates and copies o's heap words.
+    void init_slow(std::uint64_t low);
+    void copy_slow(const Bitvec& o);
 
     int width_ = 0;
     union {
