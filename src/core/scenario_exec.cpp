@@ -31,6 +31,37 @@ std::uint64_t derive_mgmt_seed(const MgmtLink& base, const Scenario& sc,
     return h;
 }
 
+// Lends the worker's scratch map to one detection run (null = coverage
+// off).  drain() is the normal exit: detach, then move the lit slots into
+// the outcome.  Should the run throw, the destructor still detaches and
+// resets the map, so no device keeps pointing at it and the next scenario
+// starts from an empty map.
+class ScratchCoverage {
+public:
+    ScratchCoverage(target::Device& dev, coverage::CoverageMap* scratch)
+        : dev_(dev), scratch_(scratch) {
+        if (scratch_ != nullptr) dev_.set_coverage(scratch_);
+    }
+    ScratchCoverage(const ScratchCoverage&) = delete;
+    ScratchCoverage& operator=(const ScratchCoverage&) = delete;
+    ~ScratchCoverage() {
+        if (scratch_ == nullptr) return;
+        dev_.set_coverage(nullptr);
+        scratch_->clear();
+    }
+
+    void drain(coverage::SlotHits& out) {
+        if (scratch_ == nullptr) return;
+        dev_.set_coverage(nullptr);
+        scratch_->drain_into(out);
+        scratch_ = nullptr;
+    }
+
+private:
+    target::Device& dev_;
+    coverage::CoverageMap* scratch_;
+};
+
 }  // namespace
 
 WorkerContext::WorkerContext(const std::string& reference_backend,
@@ -343,19 +374,18 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
         (obs::metrics_on() || obs::trace_on()) ? obs::now_ns() : 0;
     const std::vector<packet::Packet> packets = scenario_packets(sc);
 
-    // Guided mode: the reference detection run streams its execution
-    // edges into a per-scenario map (set before run_scenario_on so the
-    // load() inside re-applies it).  Triage replays below run with
-    // coverage off again -- they revisit the same behaviour and would
-    // only re-count edges.
-    if (options.coverage) {
-        outcome.coverage = std::make_unique<coverage::CoverageMap>();
-        ctx.reference->set_coverage(outcome.coverage.get());
-        outcome.dut_coverage.resize(duts.size());
-    }
+    // Guided mode: each detection run streams its execution edges into the
+    // worker's scratch map (attached before run_scenario_on so the load()
+    // inside re-applies it) and drains the lit slots into the outcome.
+    // Triage replays below run with coverage off again -- they revisit the
+    // same behaviour and would only re-count edges.
+    coverage::CoverageMap* const scratch =
+        options.coverage ? &ctx.coverage : nullptr;
+    if (options.coverage) outcome.dut_coverage.resize(duts.size());
+    ScratchCoverage ref_lease(*ctx.reference, scratch);
     const DeviceRun ref_run =
         run_scenario_on(*ctx.reference, sc, packets, options.batch_size);
-    if (options.coverage) ctx.reference->set_coverage(nullptr);
+    ref_lease.drain(outcome.coverage);
     outcome.packets += ref_run.injected;
 
     for (std::size_t d = 0; d < duts.size(); ++d) {
@@ -370,16 +400,13 @@ void execute_scenario(WorkerContext& ctx, const Scenario& sc,
             link.plan.seed = derive_mgmt_seed(options.mgmt, sc, d);
             mgmt = &link;
         }
-        // The DUT's detection run streams into its own per-scenario map
-        // (backend-salted inside the device); triage replays below run
+        // The DUT's detection run borrows the same scratch map (its edges
+        // are backend-salted inside the device); triage replays below run
         // with coverage detached, like the reference's.
-        if (options.coverage) {
-            outcome.dut_coverage[d] = std::make_unique<coverage::CoverageMap>();
-            dut.set_coverage(outcome.dut_coverage[d].get());
-        }
+        ScratchCoverage lease(dut, scratch);
         const DeviceRun dut_run = run_scenario_on(
             dut, sc, packets, options.batch_size, mgmt, &outcome.mgmt);
-        if (options.coverage) dut.set_coverage(nullptr);
+        if (scratch != nullptr) lease.drain(outcome.dut_coverage[d]);
         outcome.packets += dut_run.injected;
 
         const auto raw = diff_runs(dut_run, ref_run);

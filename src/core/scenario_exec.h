@@ -70,20 +70,24 @@ struct ScenarioOutcome {
     // Management-channel traffic of this scenario's DUT runs (zero when
     // mgmt fault injection is off).
     ChannelAccounting mgmt;
-    // Reference-device coverage of the detection run (guided mode only;
-    // heap-held so uniform sweeps don't pay 16 KiB per outcome slot).
-    std::unique_ptr<coverage::CoverageMap> coverage;
-    // Per-DUT coverage of the same detection run, parallel to the sweep's
+    // Slots the reference detection run lit, drained from the worker's
+    // scratch map (guided mode only; a run lights a handful of the map's
+    // slots, so an outcome carries pairs, not a 16 KiB map).
+    coverage::SlotHits coverage;
+    // Per-DUT lit slots of the same detection run, parallel to the sweep's
     // backend list.  Each device salts its edges by backend identity, so a
     // quirk that bends execution onto a different path lights slots no
     // reference run can -- DUT-side novelty the scheduler can reward.
-    std::vector<std::unique_ptr<coverage::CoverageMap>> dut_coverage;
+    std::vector<coverage::SlotHits> dut_coverage;
 };
 
 // Per-worker device pool: one reference instance plus one instance per DUT
 // backend, reused across every scenario the worker claims (load() replaces
 // the image and all dynamic state).
 struct WorkerContext {
+    // Guided mode's scratch map, lent to each detection run in turn and
+    // drained empty after it.  Declared first so it outlives the devices.
+    coverage::CoverageMap coverage;
     std::unique_ptr<target::Device> reference;
     std::vector<std::unique_ptr<target::Device>> duts;  // parallel to specs
 

@@ -4,10 +4,17 @@
 // FP4 mold, arXiv:2207.13147): every interesting execution event in the
 // data plane -- a parser state transition, a table hit or miss, an action
 // invocation, a taken/not-taken branch edge -- hashes to one of kSlots
-// counters.  The map is a plain array, so recording a hit is one masked
-// index and one increment: allocation-free, branch-light, and cheap enough
-// to leave compiled into the hot path behind a null-pointer check (coverage
-// off = one predictable-untaken branch per site).
+// counters.  The map is a plain array plus a lit bitmap (one bit per slot),
+// so recording a hit is one masked index, one increment and one OR:
+// allocation-free, branch-light, and cheap enough to leave compiled into the
+// hot path behind a null-pointer check (coverage off = one
+// predictable-untaken branch per site).
+//
+// The bitmap is what keeps guided campaigns O(lit slots) rather than
+// O(kSlots): a detection run lights a handful of slots, drain_into() walks
+// the 64 bitmap words and hands exactly those (slot, count) pairs over while
+// resetting the map, and the round barrier merges the pairs into the global
+// map.  One scratch map per worker therefore serves every run it makes.
 //
 // Slot ids are a pure function of the site kind and its operands, so the
 // same program exercising the same behaviour fills the same slots on every
@@ -21,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "util/strings.h"
 
@@ -44,6 +52,15 @@ enum class Site : std::uint64_t {
     branch = 5,         // a = static branch ordinal, b = taken (1) / not (0)
 };
 
+// One lit slot and its hit count, as drained from a CoverageMap.
+struct SlotHit {
+    std::uint32_t slot = 0;
+    std::uint32_t count = 0;
+    bool operator==(const SlotHit&) const = default;
+};
+// A run's lit slots in ascending slot order.
+using SlotHits = std::vector<SlotHit>;
+
 class CoverageMap {
 public:
     // Power of two: slot masking is a single AND.
@@ -62,7 +79,11 @@ public:
         return static_cast<std::uint32_t>(x & (kSlots - 1));
     }
 
-    void hit(std::uint32_t slot_id) { ++counts_[slot_id & (kSlots - 1)]; }
+    void hit(std::uint32_t slot_id) {
+        const std::uint32_t s = slot_id & (kSlots - 1);
+        ++counts_[s];
+        lit_[s / 64] |= std::uint64_t{1} << (s % 64);
+    }
     void record(Site site, std::uint64_t a, std::uint64_t b = 0) {
         hit(slot(site, a, b));
     }
@@ -74,18 +95,28 @@ public:
     // Number of distinct slots ever hit ("edges covered").
     std::size_t edges_covered() const;
 
-    std::uint64_t total_hits() const;
-
     // Folds `fresh` into this accumulated map and returns how many of its
     // slots were previously unseen here -- the scheduler's coverage delta.
-    std::size_t merge_new_from(const CoverageMap& fresh);
+    std::size_t merge_new_from(const SlotHits& fresh);
 
-    void clear() { counts_.fill(0); }
+    // Appends every lit (slot, count) pair to `out` in slot order, then
+    // resets those slots: afterwards the map equals CoverageMap{}.  Costs
+    // O(kSlots / 64 + lit slots).
+    void drain_into(SlotHits& out);
 
-    bool operator==(const CoverageMap&) const = default;
+    void clear() {
+        counts_.fill(0);
+        lit_.fill(0);
+    }
+
+    // Same counts; the bitmap is derived state.
+    bool operator==(const CoverageMap& other) const {
+        return counts_ == other.counts_;
+    }
 
 private:
     std::array<std::uint32_t, kSlots> counts_{};
+    std::array<std::uint64_t, kSlots / 64> lit_{};  // bit s: counts_[s] hit
 };
 
 }  // namespace ndb::coverage

@@ -10,17 +10,20 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/campaign.h"
 #include "core/generator.h"
+#include "core/scenario_exec.h"
 #include "core/soak.h"
 #include "core/specgen.h"
 #include "coverage/coverage.h"
 #include "coverage/scheduler.h"
 #include "quirk_fixture.h"
 #include "target/device.h"
+#include "util/random.h"
 
 namespace {
 
@@ -55,26 +58,142 @@ coverage::CoverageMap run_scenario_coverage(std::uint64_t seed,
 }
 
 TEST(CoverageMap, SlotAccountingAndMerge) {
-    coverage::CoverageMap a;
+    using coverage::CoverageMap;
+    using coverage::Site;
+    const std::uint32_t table_hit = CoverageMap::slot(Site::table, 3, 1);
+    const std::uint32_t action = CoverageMap::slot(Site::action, 3);
+    const std::uint32_t branch = CoverageMap::slot(Site::branch, 0, 0);
+    ASSERT_NE(table_hit, action);  // site kind disambiguates
+    ASSERT_NE(table_hit, branch);
+    ASSERT_NE(action, branch);
+
+    CoverageMap a;
     EXPECT_EQ(a.edges_covered(), 0u);
-    EXPECT_EQ(a.total_hits(), 0u);
 
-    a.record(coverage::Site::table, 3, 1);
-    a.record(coverage::Site::table, 3, 1);  // same slot: one edge, two hits
-    a.record(coverage::Site::action, 3);    // site kind disambiguates
+    a.record(Site::table, 3, 1);
+    a.record(Site::table, 3, 1);  // same slot: one edge, two hits
+    a.record(Site::action, 3);
     EXPECT_EQ(a.edges_covered(), 2u);
-    EXPECT_EQ(a.total_hits(), 3u);
+    EXPECT_EQ(a.count(table_hit), 2u);
+    EXPECT_EQ(a.count(action), 1u);
+    EXPECT_EQ(a.count(branch), 0u);
 
-    coverage::CoverageMap fresh;
-    fresh.record(coverage::Site::table, 3, 1);   // already known to `a`
-    fresh.record(coverage::Site::branch, 0, 0);  // new
-    EXPECT_EQ(a.merge_new_from(fresh), 1u);
+    CoverageMap fresh;
+    fresh.record(Site::table, 3, 1);   // already known to `a`
+    fresh.record(Site::branch, 0, 0);  // new
+    coverage::SlotHits lit;
+    fresh.drain_into(lit);
+    EXPECT_EQ(a.merge_new_from(lit), 1u);
     EXPECT_EQ(a.edges_covered(), 3u);
-    EXPECT_EQ(a.merge_new_from(fresh), 0u);  // second merge: nothing new
+    EXPECT_EQ(a.count(table_hit), 3u);
+    EXPECT_EQ(a.count(branch), 1u);
+    EXPECT_EQ(a.merge_new_from(lit), 0u);  // second merge: nothing new
+    EXPECT_EQ(a.edges_covered(), 3u);
+    EXPECT_EQ(a.count(table_hit), 4u);  // but the counts still add
+    EXPECT_EQ(a.count(action), 1u);
+    EXPECT_EQ(a.count(branch), 2u);
 
     a.clear();
     EXPECT_EQ(a.edges_covered(), 0u);
-    EXPECT_EQ(a, coverage::CoverageMap{});
+    EXPECT_EQ(a, CoverageMap{});
+}
+
+TEST(CoverageMap, DrainYieldsLitSlotsInOrderAndEmptiesTheMap) {
+    coverage::CoverageMap map;
+    for (const std::uint32_t s : {4095u, 64u, 0u, 63u, 64u, 2000u, 4095u, 4095u}) {
+        map.hit(s);
+    }
+    EXPECT_EQ(map.edges_covered(), 5u);
+
+    coverage::SlotHits lit;
+    map.drain_into(lit);
+    const coverage::SlotHits expected = {
+        {0, 1}, {63, 1}, {64, 2}, {2000, 1}, {4095, 3}};
+    EXPECT_EQ(lit, expected);
+    EXPECT_EQ(map, coverage::CoverageMap{});
+    EXPECT_EQ(map.edges_covered(), 0u);
+
+    coverage::SlotHits again;
+    map.drain_into(again);
+    EXPECT_TRUE(again.empty());
+
+    // Draining appends: a reused buffer keeps what it already held.
+    map.hit(7);
+    map.drain_into(lit);
+    ASSERT_EQ(lit.size(), expected.size() + 1);
+    EXPECT_EQ(lit.back(), (coverage::SlotHit{7, 1}));
+}
+
+TEST(CoverageMap, BitmapWordEdgesRoundTrip) {
+    constexpr std::size_t kSlots = coverage::CoverageMap::kSlots;
+    for (const std::uint32_t s : {0u, 63u, 64u, 4095u}) {
+        SCOPED_TRACE(s);
+        coverage::CoverageMap map;
+        map.hit(s);
+        map.hit(s + static_cast<std::uint32_t>(kSlots));  // masks onto s
+        EXPECT_EQ(map.edges_covered(), 1u);
+        EXPECT_EQ(map.count(s), 2u);
+
+        coverage::SlotHits lit;
+        map.drain_into(lit);
+        EXPECT_EQ(lit, (coverage::SlotHits{{s, 2}}));
+        EXPECT_EQ(map, coverage::CoverageMap{});
+
+        coverage::CoverageMap global;
+        EXPECT_EQ(global.merge_new_from(lit), 1u);
+        EXPECT_EQ(global.edges_covered(), 1u);
+        EXPECT_EQ(global.count(s), 2u);
+        EXPECT_EQ(global.count((s + 1) % kSlots), 0u);
+        EXPECT_EQ(global.count((s + kSlots - 1) % kSlots), 0u);
+
+        // The merged map drains back to the same pair.
+        coverage::SlotHits back;
+        global.drain_into(back);
+        EXPECT_EQ(back, lit);
+    }
+}
+
+TEST(CoverageMap, SparseMergeMatchesADenseReference) {
+    // Seeded random runs, from a handful of lit slots (a typical detection
+    // run) up to nearly the whole map, folded into one global map through
+    // drain_into + merge_new_from and, independently, through a plain
+    // per-slot tally with the dense merge rule.
+    constexpr std::size_t kSlots = coverage::CoverageMap::kSlots;
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
+        SCOPED_TRACE(seed);
+        util::Rng rng(seed);
+        coverage::CoverageMap global;
+        std::vector<std::uint64_t> dense(kSlots, 0);
+        for (int run = 0; run < 40; ++run) {
+            const std::uint64_t hits =
+                rng.next_below(run % 8 == 7 ? 20000 : 24);
+            coverage::CoverageMap map;
+            std::vector<std::uint64_t> fresh(kSlots, 0);
+            for (std::uint64_t k = 0; k < hits; ++k) {
+                const auto s = static_cast<std::uint32_t>(rng.next_below(2 * kSlots));
+                map.hit(s);
+                ++fresh[s & (kSlots - 1)];
+            }
+            coverage::SlotHits lit;
+            map.drain_into(lit);
+
+            std::size_t expect_new = 0;
+            std::size_t expect_lit = 0;
+            for (std::size_t s = 0; s < kSlots; ++s) {
+                if (fresh[s] != 0) {
+                    if (dense[s] == 0) ++expect_new;
+                    dense[s] += fresh[s];
+                }
+                if (dense[s] != 0) ++expect_lit;
+            }
+            ASSERT_EQ(global.merge_new_from(lit), expect_new) << "run " << run;
+            ASSERT_EQ(global.edges_covered(), expect_lit) << "run " << run;
+            for (std::size_t s = 0; s < kSlots; ++s) {
+                ASSERT_EQ(global.count(s), dense[s]) << "run " << run
+                                                     << " slot " << s;
+            }
+        }
+    }
 }
 
 TEST(CoverageMap, SameSeedProducesTheSameMap) {
@@ -216,6 +335,184 @@ TEST(GuidedCampaign, ReportByteIdenticalAcrossThreadCounts) {
     }
     EXPECT_EQ(last, r1.coverage_edges);
     EXPECT_EQ(r1.coverage_series.back().scenarios, r1.scenarios);
+}
+
+std::vector<core::BackendSpec> sdnet_dut() {
+    return {core::BackendSpec{"sdnet", std::nullopt, "sdnet"}};
+}
+
+core::ExecOptions guided_exec() {
+    core::ExecOptions options;
+    options.coverage = true;
+    return options;
+}
+
+bool ascending_slots(const coverage::SlotHits& lit) {
+    return std::adjacent_find(lit.begin(), lit.end(),
+                              [](const coverage::SlotHit& a,
+                                 const coverage::SlotHit& b) {
+                                  return a.slot >= b.slot;
+                              }) == lit.end();
+}
+
+TEST(GuidedCampaign, ExecuteScenarioLeavesTheScratchMapEmpty) {
+    // One worker pool reused across scenarios, clean and divergent alike:
+    // after every scenario the shared scratch map is empty and detached,
+    // and each outcome's lit slots equal a fresh pool's for the same
+    // scenario -- no hits leak from one run into the next.
+    const std::vector<core::BackendSpec> duts = sdnet_dut();
+    const core::ExecOptions options = guided_exec();
+    const core::SpecGenerator gen;
+    core::WorkerContext ctx("reference", duts, dataplane::default_engine());
+    bool saw_clean = false;
+    bool saw_triaged = false;
+    for (std::uint64_t seed = 1; seed <= 64 && !(saw_clean && saw_triaged);
+         ++seed) {
+        SCOPED_TRACE(seed);
+        const core::Scenario sc = gen.make(seed);
+        core::ScenarioOutcome outcome;
+        core::execute_scenario(ctx, sc, duts, options, outcome, std::string());
+        EXPECT_EQ(ctx.coverage, coverage::CoverageMap{});
+        EXPECT_EQ(ctx.reference->coverage(), nullptr);
+        EXPECT_EQ(ctx.duts[0]->coverage(), nullptr);
+
+        EXPECT_FALSE(outcome.coverage.empty());
+        EXPECT_TRUE(ascending_slots(outcome.coverage));
+        ASSERT_EQ(outcome.dut_coverage.size(), 1u);
+        EXPECT_FALSE(outcome.dut_coverage[0].empty());
+        EXPECT_TRUE(ascending_slots(outcome.dut_coverage[0]));
+
+        core::WorkerContext fresh_ctx("reference", duts,
+                                      dataplane::default_engine());
+        core::ScenarioOutcome fresh;
+        core::execute_scenario(fresh_ctx, sc, duts, options, fresh,
+                               std::string());
+        EXPECT_EQ(outcome.coverage, fresh.coverage);
+        EXPECT_EQ(outcome.dut_coverage, fresh.dut_coverage);
+
+        if (outcome.findings.empty()) {
+            saw_clean = true;
+        } else if (outcome.findings[0].minimized_reproduces &&
+                   outcome.findings[0].localized.packets_replayed > 0) {
+            saw_triaged = true;
+        }
+    }
+    EXPECT_TRUE(saw_clean);
+    EXPECT_TRUE(saw_triaged);
+}
+
+// Forwards every call to a real device, but once armed throws from
+// inject() after the packet went through: the run has already lit slots
+// in whatever map is attached when it fails.
+class ThrowingDevice final : public target::Device {
+public:
+    explicit ThrowingDevice(std::unique_ptr<target::Device> inner)
+        : inner_(std::move(inner)) {}
+    bool armed = false;
+
+    control::Status load(const p4::ir::Program& prog) override {
+        return inner_->load(prog);
+    }
+    bool loaded() const override { return inner_->loaded(); }
+    const p4::ir::Program& program() const override { return inner_->program(); }
+    const target::DeviceConfig& config() const override { return inner_->config(); }
+    void inject(packet::Packet pkt) override {
+        inner_->inject(std::move(pkt));
+        if (armed) throw std::runtime_error("injected failure");
+    }
+    std::vector<packet::Packet> drain_port(std::uint32_t port) override {
+        return inner_->drain_port(port);
+    }
+    void set_taps_enabled(bool on) override { inner_->set_taps_enabled(on); }
+    bool taps_enabled() const override { return inner_->taps_enabled(); }
+    const std::vector<target::TapRecord>& tap_records() const override {
+        return inner_->tap_records();
+    }
+    void clear_tap_records() override { inner_->clear_tap_records(); }
+    void set_digests_enabled(bool on) override { inner_->set_digests_enabled(on); }
+    bool digests_enabled() const override { return inner_->digests_enabled(); }
+    const std::vector<dataplane::TapDigest>& digest_records() const override {
+        return inner_->digest_records();
+    }
+    void clear_digest_records() override { inner_->clear_digest_records(); }
+    void set_coverage(coverage::CoverageMap* map) override {
+        inner_->set_coverage(map);
+    }
+    coverage::CoverageMap* coverage() const override { return inner_->coverage(); }
+    std::uint64_t coverage_salt() const override { return inner_->coverage_salt(); }
+    void set_engine(dataplane::Engine engine) override { inner_->set_engine(engine); }
+    dataplane::Engine engine() const override { return inner_->engine(); }
+    std::uint64_t now_ns() const override { return inner_->now_ns(); }
+
+    control::Status add_entry(const std::string& table,
+                              const control::EntrySpec& entry) override {
+        return inner_->add_entry(table, entry);
+    }
+    control::Status delete_entry(const std::string& table,
+                                 const control::EntrySpec& entry) override {
+        return inner_->delete_entry(table, entry);
+    }
+    control::Status set_default_action(
+        const std::string& table, const std::string& action,
+        const std::vector<control::Bitvec>& args) override {
+        return inner_->set_default_action(table, action, args);
+    }
+    control::Status clear_table(const std::string& table) override {
+        return inner_->clear_table(table);
+    }
+    control::Status write_register(const std::string& name, std::uint64_t index,
+                                   const control::Bitvec& value) override {
+        return inner_->write_register(name, index, value);
+    }
+    control::Status read_register(const std::string& name, std::uint64_t index,
+                                  control::Bitvec& out) override {
+        return inner_->read_register(name, index, out);
+    }
+    control::Status read_counter(const std::string& name, std::uint64_t index,
+                                 control::CounterValue& out) override {
+        return inner_->read_counter(name, index, out);
+    }
+    control::Status configure_meter(const std::string& name, std::uint64_t index,
+                                    const control::MeterConfig& config) override {
+        return inner_->configure_meter(name, index, config);
+    }
+    control::StatusSnapshot snapshot() override { return inner_->snapshot(); }
+    control::Status reset_state() override { return inner_->reset_state(); }
+
+private:
+    std::unique_ptr<target::Device> inner_;
+};
+
+TEST(GuidedCampaign, ThrowingDetectionRunDetachesTheScratchMap) {
+    const std::vector<core::BackendSpec> duts = sdnet_dut();
+    const core::ExecOptions options = guided_exec();
+    const core::Scenario sc = core::SpecGenerator().make(1);
+    core::WorkerContext ctx("reference", duts, dataplane::default_engine());
+    auto throwing =
+        std::make_unique<ThrowingDevice>(std::move(ctx.duts[0]));
+    ThrowingDevice& dut = *throwing;
+    ctx.duts[0] = std::move(throwing);
+
+    // The DUT's detection run throws mid-stream, after lighting slots.
+    dut.armed = true;
+    core::ScenarioOutcome failed;
+    EXPECT_THROW(core::execute_scenario(ctx, sc, duts, options, failed,
+                                        std::string()),
+                 std::runtime_error);
+    EXPECT_EQ(dut.coverage(), nullptr);
+    EXPECT_EQ(ctx.reference->coverage(), nullptr);
+    EXPECT_EQ(ctx.coverage, coverage::CoverageMap{});
+
+    // The same worker's next scenario sees none of the failed run's hits.
+    dut.armed = false;
+    core::ScenarioOutcome retry;
+    core::execute_scenario(ctx, sc, duts, options, retry, std::string());
+    core::WorkerContext fresh_ctx("reference", duts, dataplane::default_engine());
+    core::ScenarioOutcome fresh;
+    core::execute_scenario(fresh_ctx, sc, duts, options, fresh, std::string());
+    EXPECT_FALSE(fresh.dut_coverage.at(0).empty());
+    EXPECT_EQ(retry.coverage, fresh.coverage);
+    EXPECT_EQ(retry.dut_coverage, fresh.dut_coverage);
 }
 
 // The seven-flag acceptance sweep (tests/quirk_fixture.h): one

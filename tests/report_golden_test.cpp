@@ -12,9 +12,14 @@
 // The one provenance field, `engine`, is normalized before comparing, so
 // the same golden holds under NDB_ENGINE=interp and NDB_ENGINE=compiled.
 //
-// A deliberate report change regenerates the golden: on a mismatch the test
-// writes the actual report to report_golden.actual.json in its working
-// directory; review the diff and copy it over tests/golden/.
+// A second golden pins the guided loop: the seven-flag fixture with
+// coverage, mutation and concolic synthesis on, so the coverage block, the
+// coverage series and the concolic recipes cannot move either.
+//
+// A deliberate report change regenerates a golden: on a mismatch the test
+// writes the actual report into its working directory
+// (report_golden.actual.json or report_golden_guided.actual.json); review
+// the diff and copy it over tests/golden/.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -22,6 +27,7 @@
 #include <string>
 
 #include "core/campaign.h"
+#include "quirk_fixture.h"
 
 #ifndef NDB_GOLDEN_DIR
 #error "NDB_GOLDEN_DIR must point at tests/golden"
@@ -33,6 +39,9 @@ using namespace ndb;
 
 const char* const kGoldenFile = NDB_GOLDEN_DIR "/campaign_sdnet_400.json";
 const char* const kActualFile = "report_golden.actual.json";
+const char* const kGuidedGoldenFile =
+    NDB_GOLDEN_DIR "/campaign_fixture_guided.json";
+const char* const kGuidedActualFile = "report_golden_guided.actual.json";
 
 std::string read_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -55,16 +64,42 @@ std::string golden_sweep_report() {
     return report.to_json();
 }
 
-TEST(ReportGolden, SdnetSweepMatchesCommittedReport) {
-    const std::string golden = read_file(kGoldenFile);
-    const std::string actual = golden_sweep_report();
+// The seven-flag fixture under the full greybox loop: coverage-guided
+// scheduling, mutants and concolic seeds.
+std::string golden_guided_report() {
+    core::CampaignConfig cfg;
+    cfg.base_seed = 1;
+    cfg.scenarios = 400;
+    cfg.threads = 2;
+    ndb_test::apply_fixture(ndb_test::seven_flag_fixture(), cfg);
+    cfg.coverage = true;
+    cfg.mutate = true;
+    cfg.concolic = true;
+    core::CampaignEngine campaign(cfg);
+    core::CampaignReport report = campaign.run();
+    report.engine = "normalized";
+    return report.to_json();
+}
+
+void expect_matches_golden(const std::string& actual, const char* golden_file,
+                           const char* actual_file) {
+    const std::string golden = read_file(golden_file);
     if (actual != golden) {
-        std::ofstream(kActualFile, std::ios::binary) << actual;
+        std::ofstream(actual_file, std::ios::binary) << actual;
     }
-    ASSERT_FALSE(golden.empty()) << "missing golden " << kGoldenFile
-                                 << "; actual report written to " << kActualFile;
-    EXPECT_EQ(actual, golden) << "report differs from " << kGoldenFile
-                              << "; actual report written to " << kActualFile;
+    ASSERT_FALSE(golden.empty()) << "missing golden " << golden_file
+                                 << "; actual report written to " << actual_file;
+    EXPECT_EQ(actual, golden) << "report differs from " << golden_file
+                              << "; actual report written to " << actual_file;
+}
+
+TEST(ReportGolden, SdnetSweepMatchesCommittedReport) {
+    expect_matches_golden(golden_sweep_report(), kGoldenFile, kActualFile);
+}
+
+TEST(ReportGolden, GuidedFixtureMatchesCommittedReport) {
+    expect_matches_golden(golden_guided_report(), kGuidedGoldenFile,
+                          kGuidedActualFile);
 }
 
 TEST(ReportGolden, GoldenSweepFindsAndTriagesDivergences) {
@@ -74,6 +109,18 @@ TEST(ReportGolden, GoldenSweepFindsAndTriagesDivergences) {
     ASSERT_FALSE(golden.empty()) << "missing golden " << kGoldenFile;
     EXPECT_NE(golden.find("\"minimized_reproduces\": true"), std::string::npos);
     EXPECT_NE(golden.find("\"stage\": \"parser\""), std::string::npos);
+    EXPECT_NE(golden.find("\"engine\": \"normalized\""), std::string::npos);
+}
+
+TEST(ReportGolden, GuidedGoldenExercisesTheGreyboxLoop) {
+    // The guided golden must pin coverage and concolic output, not an
+    // uninstrumented sweep.
+    const std::string golden = read_file(kGuidedGoldenFile);
+    ASSERT_FALSE(golden.empty()) << "missing golden " << kGuidedGoldenFile;
+    EXPECT_NE(golden.find("\"coverage\": {"), std::string::npos);
+    EXPECT_NE(golden.find("\"series\": ["), std::string::npos);
+    EXPECT_NE(golden.find("\"concolic\": {"), std::string::npos);
+    EXPECT_NE(golden.find("\"recipes\": [\""), std::string::npos);
     EXPECT_NE(golden.find("\"engine\": \"normalized\""), std::string::npos);
 }
 
