@@ -46,14 +46,18 @@ packet::Packet instantiate(const PacketTemplate& tmpl, std::uint64_t seq) {
                 break;
             }
             case FieldMutation::Mode::random: {
+                // One draw per 64-bit chunk, least significant chunk first;
+                // from_words masks the top chunk to the remaining width.
                 util::Rng rng(tmpl.seed ^ (seq * 0x9e3779b97f4a7c15ull) ^
                               (m.bit_offset << 16));
-                for (int i = 0; i < m.width; i += 64) {
-                    const std::uint64_t bits = rng.next_u64();
-                    for (int b = 0; b < 64 && i + b < m.width; ++b) {
-                        v.set_bit(i + b, (bits >> b) & 1);
-                    }
+                if (m.width <= 64) {
+                    v = util::Bitvec(m.width, m.width > 0 ? rng.next_u64() : 0);
+                    break;
                 }
+                std::vector<std::uint64_t> words(
+                    static_cast<std::size_t>((m.width + 63) / 64));
+                for (auto& w : words) w = rng.next_u64();
+                v = util::Bitvec::from_words(m.width, words);
                 break;
             }
         }

@@ -1,6 +1,8 @@
 #include "dataplane/compile.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "coverage/coverage.h"
@@ -53,7 +55,10 @@ bool is_const_expr(const Expr& e) {
 class Compiler {
 public:
     Compiler(const Program& prog, const Quirks& quirks)
-        : prog_(prog), quirks_(quirks), branch_ids_(p4::ir::number_branches(prog)) {}
+        : prog_(prog),
+          quirks_(quirks),
+          branch_ids_(p4::ir::number_branches(prog)),
+          layout_(prog, /*clobber_meta=*/false) {}
 
     CompiledProgram run() {
         cp_.ingress = lower_routine(prog_.ingress.body, prog_.ingress.local_widths,
@@ -73,6 +78,14 @@ public:
     }
 
 private:
+    // Field operands are the field's slot in the packet-state layout: the
+    // word offset goes in one operand, the width in the next.
+    void set_slot(std::int32_t& word, std::int32_t& width, p4::ir::FieldRef ref) const {
+        const FieldSlot& slot = layout_.slot(ref);
+        word = static_cast<std::int32_t>(slot.word);
+        width = slot.width;
+    }
+
     std::size_t emit(Inst in) {
         cp_.code.push_back(in);
         return cp_.code.size() - 1;
@@ -100,9 +113,12 @@ private:
         switch (e.kind) {
             case Expr::Kind::constant:
                 break;  // handled by the fold above
-            case Expr::Kind::field:
-                cp_.expr_code.push_back({EOp::field, e.fref.header, e.fref.field});
+            case Expr::Kind::field: {
+                ExprInst in{EOp::field, 0, 0};
+                set_slot(in.a, in.b, e.fref);
+                cp_.expr_code.push_back(in);
                 return;
+            }
             case Expr::Kind::param:
                 cp_.expr_code.push_back({EOp::param, e.index, 0});
                 return;
@@ -217,8 +233,7 @@ private:
         switch (s.kind) {
             case Stmt::Kind::assign_field:
                 in.op = Op::assign_field;
-                in.a = s.dst.header;
-                in.b = s.dst.field;
+                set_slot(in.a, in.b, s.dst);
                 in.expr = lower_expr(*s.value);
                 emit(in);
                 return;
@@ -230,8 +245,7 @@ private:
                 return;
             case Stmt::Kind::assign_slice:
                 in.op = Op::assign_slice;
-                in.a = s.dst.header;
-                in.b = s.dst.field;
+                set_slot(in.a, in.b, s.dst);
                 in.c = s.hi;
                 in.d = s.lo;
                 in.expr = lower_expr(*s.value);
@@ -297,13 +311,11 @@ private:
         switch (s.ext) {
             case p4::ir::ExternKind::mark_to_drop:
                 in.op = Op::ext_mark_to_drop;
-                in.a = prog_.f_egress_spec.header;
-                in.b = prog_.f_egress_spec.field;
+                set_slot(in.a, in.b, prog_.f_egress_spec);
                 break;
             case p4::ir::ExternKind::register_read:
                 in.op = Op::ext_register_read;
-                in.a = s.ext_dst.header;
-                in.b = s.ext_dst.field;
+                set_slot(in.a, in.b, s.ext_dst);
                 in.c = s.extern_id;
                 in.d = prog_.field(s.ext_dst).width;
                 if (s.index_expr) in.expr = lower_expr(*s.index_expr);
@@ -321,16 +333,14 @@ private:
                 break;
             case p4::ir::ExternKind::meter_execute:
                 in.op = Op::ext_meter_execute;
-                in.a = s.ext_dst.header;
-                in.b = s.ext_dst.field;
+                set_slot(in.a, in.b, s.ext_dst);
                 in.c = s.extern_id;
                 in.d = prog_.field(s.ext_dst).width;
                 if (s.index_expr) in.expr = lower_expr(*s.index_expr);
                 break;
             case p4::ir::ExternKind::hash:
                 in.op = Op::ext_hash;
-                in.a = s.ext_dst.header;
-                in.b = s.ext_dst.field;
+                set_slot(in.a, in.b, s.ext_dst);
                 in.d = prog_.field(s.ext_dst).width;
                 lower_args(in, s.hash_inputs);
                 break;
@@ -393,8 +403,7 @@ private:
                         break;
                     case p4::ir::ParserOp::Kind::assign:
                         in.op = Op::passign;
-                        in.a = op.dst.header;
-                        in.b = op.dst.field;
+                        set_slot(in.a, in.b, op.dst);
                         in.c = prog_.field(op.dst).width;
                         in.expr = lower_expr(*op.value);
                         break;
@@ -456,6 +465,8 @@ private:
     const Program& prog_;
     const Quirks& quirks_;
     std::unordered_map<const Stmt*, std::uint32_t> branch_ids_;
+    // The layout Image::layout computes, for the field operands' offsets.
+    StateLayout layout_;
     CompiledProgram cp_;
     // Dummies for constant folding: a read-free subtree never touches them.
     PacketState fold_state_;
@@ -584,16 +595,27 @@ std::string CompiledProgram::disassemble() const {
 
 namespace {
 
-// Mirrors PacketState::set's width contract (including its exception) while
-// writing through compile-time-resolved indices.
-inline void store_field(PacketState& state, std::int32_t h, std::int32_t f,
-                        Bitvec v) {
-    Bitvec& slot = state.headers[static_cast<std::size_t>(h)]
-                       .fields[static_cast<std::size_t>(f)];
-    if (slot.width() != v.width()) {
-        throw std::invalid_argument("PacketState::set: width mismatch");
-    }
-    slot = std::move(v);
+// A field operand pair (word offset, width) as the compiler encoded it.
+inline FieldSlot slot_at(std::int32_t word, std::int32_t width) {
+    return {static_cast<std::uint32_t>(word), width};
+}
+
+// The low `k` bits (0 <= k <= 64).
+inline std::uint64_t low_mask(int k) {
+    return k >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
+}
+
+// Big-endian 64-bit load/store at an arbitrary byte address.
+inline std::uint64_t load_be64(const std::uint8_t* p) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    if constexpr (std::endian::native == std::endian::little) w = __builtin_bswap64(w);
+    return w;
+}
+
+inline void store_be64(std::uint8_t* p, std::uint64_t w) {
+    if constexpr (std::endian::native == std::endian::little) w = __builtin_bswap64(w);
+    std::memcpy(p, &w, sizeof w);
 }
 
 // Sequential MSB-first bit reader over a packet buffer.  The caller bounds-
@@ -601,13 +623,21 @@ inline void store_field(PacketState& state, std::int32_t h, std::int32_t f,
 // per-field checks and re-addressing of Packet::extract_bits disappear.
 struct BitReader {
     const std::uint8_t* data;
+    std::size_t size;  // bytes
     std::size_t bit;
 
     // Next `k` bits (k <= 64), network order.  High garbage bits beyond `k`
-    // may survive in the return value; Bitvec(k, v) truncates them.
+    // may survive in the return value; callers mask them off.
     std::uint64_t read(int k) {
-        const std::size_t end = bit + static_cast<std::size_t>(k);
         const std::size_t first = bit >> 3;
+        const int skew = static_cast<int>(bit & 7);
+        if (k > 0 && skew + k <= 64 && first + 8 <= size) {
+            // One unaligned word covers the field: drop the bits before it,
+            // then right-align it.
+            bit += static_cast<std::size_t>(k);
+            return (load_be64(data + first) << skew) >> (64 - k);
+        }
+        const std::size_t end = bit + static_cast<std::size_t>(k);
         const std::size_t last = (end + 7) >> 3;  // exclusive
         unsigned __int128 acc = 0;
         for (std::size_t i = first; i < last; ++i) {
@@ -618,46 +648,42 @@ struct BitReader {
     }
 };
 
-// Sequential MSB-first bit writer into a zeroed buffer: each byte is
-// composed in the accumulator and stored exactly once.
+// Sequential MSB-first bit writer: whole 64-bit words are stored as they
+// fill, the trailing bits byte by byte in flush(), so every output byte is
+// written exactly once.
 struct BitWriter {
     std::uint8_t* out;
-    unsigned __int128 acc = 0;
-    int pending = 0;
+    std::uint64_t acc = 0;  // the `pending` bits not yet stored, right-aligned
+    int pending = 0;        // < 64
     std::size_t pos = 0;
 
     // Appends the low `k` bits of `v` (k <= 64; higher bits must be zero,
-    // which Bitvec's representation invariant guarantees).
+    // which the packet-state layout guarantees).
     void push(std::uint64_t v, int k) {
-        acc = (acc << k) | v;
-        pending += k;
+        if (pending + k < 64) {
+            acc = (acc << k) | v;
+            pending += k;
+            return;
+        }
+        const int rest = pending + k - 64;  // low bits of v left over
+        store_be64(out + pos, (pending ? acc << (64 - pending) : 0) | (v >> rest));
+        pos += 8;
+        acc = v & low_mask(rest);
+        pending = rest;
+    }
+
+    // Stores the pending bits, the last byte left-aligned.
+    void flush() {
         while (pending >= 8) {
             pending -= 8;
             out[pos++] = static_cast<std::uint8_t>(acc >> pending);
         }
-    }
-
-    // Left-aligns and stores any trailing partial byte.
-    void flush() {
         if (pending > 0) {
             out[pos++] = static_cast<std::uint8_t>(acc << (8 - pending));
             pending = 0;
         }
     }
 };
-
-// Bits [lo+k-1 .. lo] of a little-endian word image, for chunking values
-// wider than 64 bits through the streaming writer.
-inline std::uint64_t bits_at(std::span<const std::uint64_t> words, int lo, int k) {
-    const int word = lo >> 6;
-    const int off = lo & 63;
-    std::uint64_t v = words[static_cast<std::size_t>(word)] >> off;
-    if (off + k > 64 && static_cast<std::size_t>(word) + 1 < words.size()) {
-        v |= words[static_cast<std::size_t>(word) + 1] << (64 - off);
-    }
-    if (k < 64) v &= (std::uint64_t{1} << k) - 1;
-    return v;
-}
 
 }  // namespace
 
@@ -667,7 +693,7 @@ CompiledPipeline::CompiledPipeline(const Image& image, TableSet& tables,
       stateful_(stateful),
       quirks_(image.quirks),
       cp_(image.code),
-      stream_hdr_(image.stream_hdr) {
+      layout_(*image.layout) {
     slots_.reserve(prog_.tables.size());
     for (std::size_t i = 0; i < prog_.tables.size(); ++i) {
         slots_.push_back(tables.slot_ptr(static_cast<int>(i)));
@@ -683,8 +709,14 @@ void CompiledPipeline::set_coverage(coverage::CoverageMap* map, std::uint64_t sa
 
 Bitvec CompiledPipeline::eval(ExprRef ref, const PacketState& state,
                               const Frame& frame) {
-    auto& st = stack_;
     const ExprInst* ip = cp_.expr_code.data() + ref.begin;
+    // A lone field read or constant -- most select keys, table keys and
+    // assignment sources -- needs no trip through the value stack.
+    if (ref.len == 1) {
+        if (ip->op == EOp::field) return state.load(slot_at(ip->a, ip->b));
+        if (ip->op == EOp::const_pool) return cp_.consts[static_cast<std::size_t>(ip->a)];
+    }
+    auto& st = stack_;
     const auto pop = [&st]() {
         Bitvec v = std::move(st.back());
         st.pop_back();
@@ -696,8 +728,7 @@ Bitvec CompiledPipeline::eval(ExprRef ref, const PacketState& state,
                 st.push_back(cp_.consts[static_cast<std::size_t>(ip->a)]);
                 break;
             case EOp::field:
-                st.push_back(state.headers[static_cast<std::size_t>(ip->a)]
-                                 .fields[static_cast<std::size_t>(ip->b)]);
+                st.push_back(state.load(slot_at(ip->a, ip->b)));
                 break;
             case EOp::param:
                 st.push_back(frame.params[static_cast<std::size_t>(ip->a)]);
@@ -706,8 +737,7 @@ Bitvec CompiledPipeline::eval(ExprRef ref, const PacketState& state,
                 st.push_back(frame.locals[static_cast<std::size_t>(ip->a)]);
                 break;
             case EOp::valid:
-                st.push_back(Bitvec(
-                    1, state.headers[static_cast<std::size_t>(ip->a)].valid ? 1 : 0));
+                st.push_back(Bitvec(1, state.header_valid(ip->a) ? 1 : 0));
                 break;
             case EOp::neg:
                 st.back() = st.back().neg();
@@ -903,7 +933,7 @@ void CompiledPipeline::exec(std::uint32_t pc, PacketState& state) {
                 return;
             case Op::assign_field:
                 ++state.cycles;
-                store_field(state, in.a, in.b, eval(in.expr, state, *fr));
+                state.store(slot_at(in.a, in.b), eval(in.expr, state, *fr));
                 break;
             case Op::assign_local:
                 ++state.cycles;
@@ -912,15 +942,14 @@ void CompiledPipeline::exec(std::uint32_t pc, PacketState& state) {
                 break;
             case Op::assign_slice: {
                 ++state.cycles;
-                Bitvec cur = state.headers[static_cast<std::size_t>(in.a)]
-                                 .fields[static_cast<std::size_t>(in.b)];
+                Bitvec cur = state.load(slot_at(in.a, in.b));
                 const Bitvec v = eval(in.expr, state, *fr);
                 if (v.width() < in.c - in.d + 1) {
                     throw std::out_of_range(
                         "assign_slice: value narrower than slice");
                 }
                 cur.set_slice(in.c, in.d, v);
-                store_field(state, in.a, in.b, std::move(cur));
+                state.store(slot_at(in.a, in.b), cur);
                 break;
             }
             case Op::branch_false: {
@@ -990,18 +1019,18 @@ void CompiledPipeline::exec(std::uint32_t pc, PacketState& state) {
             }
             case Op::set_valid:
                 ++state.cycles;
-                state.headers[static_cast<std::size_t>(in.a)].valid = in.b != 0;
+                state.set_valid(in.a, in.b != 0);
                 break;
             case Op::ext_mark_to_drop:
                 ++state.cycles;
-                store_field(state, in.a, in.b, Bitvec(9, p4::ir::kDropPort));
+                state.store(slot_at(in.a, in.b), Bitvec(9, p4::ir::kDropPort));
                 break;
             case Op::ext_register_read: {
                 ++state.cycles;
                 const std::uint64_t idx =
                     in.expr.len ? eval(in.expr, state, *fr).to_u64() : 0;
                 const Bitvec v = stateful_.register_read(in.c, idx);
-                store_field(state, in.a, in.b, v.resize(in.d));
+                state.store(slot_at(in.a, in.b), v.resize(in.d));
                 break;
             }
             case Op::ext_register_write: {
@@ -1021,8 +1050,8 @@ void CompiledPipeline::exec(std::uint32_t pc, PacketState& state) {
                 ++state.cycles;
                 const std::uint64_t idx =
                     in.expr.len ? eval(in.expr, state, *fr).to_u64() : 0;
-                stateful_.counter_count(
-                    in.a, idx, state.get(prog_.f_packet_length).to_u64());
+                stateful_.counter_count(in.a, idx,
+                                        state.u64(prog_.f_packet_length));
                 break;
             }
             case Op::ext_meter_execute: {
@@ -1031,8 +1060,8 @@ void CompiledPipeline::exec(std::uint32_t pc, PacketState& state) {
                     in.expr.len ? eval(in.expr, state, *fr).to_u64() : 0;
                 const MeterColor color = stateful_.meter_execute(
                     in.c, idx, state.meta.rx_time_ns,
-                    state.get(prog_.f_packet_length).to_u64());
-                store_field(state, in.a, in.b,
+                    state.u64(prog_.f_packet_length));
+                state.store(slot_at(in.a, in.b),
                             Bitvec(in.d, static_cast<std::uint64_t>(color)));
                 break;
             }
@@ -1054,7 +1083,7 @@ void CompiledPipeline::exec(std::uint32_t pc, PacketState& state) {
                     quirks_.hash_collision_misdirect < 32) {
                     h &= (1u << quirks_.hash_collision_misdirect) - 1u;
                 }
-                store_field(state, in.a, in.b, Bitvec(32, h).resize(in.d));
+                state.store(slot_at(in.a, in.b), Bitvec(32, h).resize(in.d));
                 break;
             }
             case Op::ext_checksum:
@@ -1104,36 +1133,38 @@ ParserVerdict CompiledPipeline::run_parser(const packet::Packet& pkt,
                 if (cursor_ + static_cast<std::size_t>(in.b) > total_bits_) {
                     return pfinish(pkt, state, ParserVerdict::error_truncated);
                 }
-                const auto& hdr = prog_.headers[static_cast<std::size_t>(in.a)];
-                auto& inst = state.headers[static_cast<std::size_t>(in.a)];
-                if (stream_hdr_[static_cast<std::size_t>(in.a)]) {
+                const HeaderSpan& span = layout_.headers[static_cast<std::size_t>(in.a)];
+                std::uint64_t* const words = state.words.data();
+                if (span.streamable) {
                     // Contiguous layout: stream the fields off the wire in
-                    // one pass (the whole header was bounds-checked above).
-                    BitReader rd{pkt.bytes().data(), cursor_};
-                    for (std::size_t f = 0; f < hdr.fields.size(); ++f) {
-                        const int w = hdr.fields[f].width;
-                        if (w <= 64) {
-                            inst.fields[f] = Bitvec(w, rd.read(w));
-                        } else {
-                            Bitvec v(w);
-                            for (int rem = w; rem > 0;) {
-                                const int k = std::min(64, rem);
-                                v.set_slice(rem - 1, rem - k,
-                                            Bitvec(k, rd.read(k)));
-                                rem -= k;
-                            }
-                            inst.fields[f] = std::move(v);
+                    // one pass (the whole header was bounds-checked above),
+                    // straight into their words.  A wide field arrives most
+                    // significant bits first: its partial top word, then
+                    // whole words down to word 0.
+                    BitReader rd{pkt.bytes().data(), pkt.size(), cursor_};
+                    for (std::uint32_t i = span.slot_begin; i < span.slot_end; ++i) {
+                        const FieldSlot fs = layout_.slots[i];
+                        if (fs.width <= 64) {
+                            words[fs.word] = rd.read(fs.width) & low_mask(fs.width);
+                            continue;
                         }
+                        std::uint32_t w = fs.word + slot_words(fs.width);
+                        if (const int top = fs.width & 63) {
+                            words[--w] = rd.read(top) & low_mask(top);
+                        }
+                        while (w > fs.word) words[--w] = rd.read(64);
                     }
                 } else {
+                    const auto& hdr = prog_.headers[static_cast<std::size_t>(in.a)];
                     for (std::size_t f = 0; f < hdr.fields.size(); ++f) {
                         const auto& field = hdr.fields[f];
-                        inst.fields[f] = pkt.extract_bits(
-                            cursor_ + static_cast<std::size_t>(field.offset),
-                            field.width);
+                        state.store(layout_.slots[span.slot_begin + f],
+                                    pkt.extract_bits(
+                                        cursor_ + static_cast<std::size_t>(field.offset),
+                                        field.width));
                     }
                 }
-                inst.valid = true;
+                state.set_valid(in.a, true);
                 cursor_ += static_cast<std::size_t>(in.b);
                 ++extracts_;
                 state.cycles += 1;
@@ -1146,7 +1177,7 @@ ParserVerdict CompiledPipeline::run_parser(const packet::Packet& pkt,
                 cursor_ += static_cast<std::size_t>(in.a);
                 break;
             case Op::passign:
-                store_field(state, in.a, in.b,
+                state.store(slot_at(in.a, in.b),
                             eval(in.expr, state, empty_frame_).resize(in.c));
                 break;
             case Op::ptrans:
@@ -1177,9 +1208,13 @@ ParserVerdict CompiledPipeline::run_parser(const packet::Packet& pkt,
                 bool match = true;
                 for (std::int32_t i = in.a; i < in.b && match; ++i) {
                     const CaseSet& cs = cp_.case_sets[static_cast<std::size_t>(i)];
-                    match = pkeys_[static_cast<std::size_t>(cs.key)]
-                                .band(cs.mask)
-                                .eq(cs.value_masked);
+                    const Bitvec& key = pkeys_[static_cast<std::size_t>(cs.key)];
+                    if (key.width() == cs.mask.width() && key.width() <= 64) {
+                        match = (key.to_u64() & cs.mask.to_u64()) ==
+                                cs.value_masked.to_u64();
+                    } else {
+                        match = key.band(cs.mask).eq(cs.value_masked);  // may throw
+                    }
                 }
                 if (!match) break;  // fall through to the next case
                 if (coverage_) {
@@ -1247,30 +1282,28 @@ packet::Packet CompiledPipeline::deparse(const PacketState& state) const {
         if (!state.header_valid(h)) continue;
         total_bits += static_cast<std::size_t>(
             prog_.headers[static_cast<std::size_t>(h)].size_bits);
-        stream = stream && stream_hdr_[static_cast<std::size_t>(h)];
+        stream = stream && layout_.headers[static_cast<std::size_t>(h)].streamable;
     }
     if (!stream) return ndb::dataplane::deparse(prog_, state);
 
     const std::size_t header_bytes = (total_bits + 7) / 8;
     std::vector<std::uint8_t> buf(header_bytes + state.payload.size(), 0);
     BitWriter wr{buf.data()};
+    const std::uint64_t* const words = state.words.data();
     for (const int h : prog_.deparse_order) {
         if (!state.header_valid(h)) continue;
-        const auto& hdr = prog_.headers[static_cast<std::size_t>(h)];
-        const auto& inst = state.headers[static_cast<std::size_t>(h)];
-        for (std::size_t f = 0; f < hdr.fields.size(); ++f) {
-            const int w = hdr.fields[f].width;
-            const Bitvec& v = inst.fields[f];
-            if (w <= 64) {
-                wr.push(v.to_u64(), w);
-            } else {
-                const auto words = v.word_span();
-                for (int rem = w; rem > 0;) {
-                    const int k = std::min(64, rem);
-                    wr.push(bits_at(words, rem - k, k), k);
-                    rem -= k;
-                }
+        const HeaderSpan& span = layout_.headers[static_cast<std::size_t>(h)];
+        for (std::uint32_t i = span.slot_begin; i < span.slot_end; ++i) {
+            const FieldSlot fs = layout_.slots[i];
+            if (fs.width <= 64) {
+                wr.push(words[fs.word], fs.width);
+                continue;
             }
+            // Most significant bits first: the partial top word, then whole
+            // words down to word 0 (bits above the width are zero).
+            std::uint32_t w = fs.word + slot_words(fs.width);
+            if (const int top = fs.width & 63) wr.push(words[--w], top);
+            while (w > fs.word) wr.push(words[--w], 64);
         }
     }
     wr.flush();

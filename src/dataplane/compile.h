@@ -84,7 +84,7 @@ private:
     StatefulSet& stateful_;
     Quirks quirks_;
     const compiled::CompiledProgram& cp_;
-    const std::vector<bool>& stream_hdr_;  // Image::stream_hdr
+    const StateLayout& layout_;  // Image::layout
     // Direct table handles, indexed by table id: resolved once from the
     // TableSet at construction (Slot pointers are stable for its lifetime).
     std::vector<TableSet::Slot*> slots_;

@@ -3,8 +3,9 @@
 // compile.cpp lowers a p4::ir::Program into one flat vector<Inst> (control
 // flow, statements, parser states) plus one flat vector<ExprInst> (postfix
 // expression bytecode over a reusable Bitvec value stack).  Everything the
-// tree-walker resolves per packet is resolved here once per program:
-// header/field indices sit in the instruction operands, branch targets are
+// tree-walker resolves per packet is resolved here once per program: each
+// field operand is its slot in the packet-state layout (word offset, width;
+// see state.h), header indices index the valid bitmap, branch targets are
 // absolute pcs, constant subexpressions are folded into a literal pool,
 // select-case keysets are pre-masked, and quirks that change semantics
 // (shift_miscompile, skip_checksum_update, parser_depth_limit) are baked
@@ -31,10 +32,10 @@ using util::Bitvec;
 
 enum class EOp : std::uint8_t {
     const_pool,  // push consts[a]
-    field,       // push headers[a].fields[b]
+    field,       // push the field at word a, width b
     param,       // push frame.params[a]
     local,       // push frame.locals[a]
-    valid,       // push Bitvec(1, headers[a].valid)
+    valid,       // push Bitvec(1, header a valid)
 
     neg,         // arithmetic negate top of stack
     bnot,
@@ -74,26 +75,27 @@ struct ExprRef {
 // --- instruction stream -------------------------------------------------------
 
 enum class Op : std::uint8_t {
-    // Statements (each costs the interpreter's one cycle unless noted).
-    assign_field,   // headers[a].fields[b] = expr
+    // Statements (each costs the interpreter's one cycle unless noted).  A
+    // "field a/b" operand is a field slot: word offset a, width b.
+    assign_field,   // field a/b = expr
     assign_local,   // locals[a] = expr
-    assign_slice,   // headers[a].fields[b][c:d] = expr (c = hi, d = lo)
+    assign_slice,   // field a/b [c:d] = expr (c = hi, d = lo)
     branch_false,   // if expr is zero jump to a; b = pre-order branch ordinal
     jump,           // pc = a
     apply_table,    // a = table id; args = key exprs (costs two cycles)
     call_action,    // a = action id; args = argument exprs
-    set_valid,      // headers[a].valid = (b != 0)
+    set_valid,      // header a valid = (b != 0)
     exit_run,       // exit statement: unwind every frame of this run
     ret,            // return from an action body
     halt,           // end of a control stream
 
     // Externs.
-    ext_mark_to_drop,    // headers[a].fields[b] (egress_spec) = drop port
-    ext_register_read,   // headers[a].fields[b] = regs[c][expr], width d
+    ext_mark_to_drop,    // field a/b (egress_spec) = drop port
+    ext_register_read,   // field a/b = regs[c][expr], width d
     ext_register_write,  // regs[a][expr] = expr2
     ext_counter_count,   // counters[a][expr] += packet bytes
-    ext_meter_execute,   // headers[a].fields[b] = color of meters[c][expr]
-    ext_hash,            // headers[a].fields[b] = crc32(args), width d
+    ext_meter_execute,   // field a/b = color of meters[c][expr]
+    ext_hash,            // field a/b = crc32(args), width d
     ext_checksum,        // recompute checksum field b of header a
     ext_nop,             // cycle only (ExternKind::none, quirked-out checksum)
 
@@ -101,7 +103,7 @@ enum class Op : std::uint8_t {
     pstate,         // enter state a: loop guard then one cycle
     pextract,       // extract header a (b = size_bits, c = depth limit, 0 = none)
     padvance,       // cursor += a bits (bounds-checked)
-    passign,        // headers[a].fields[b] = expr.resize(c)
+    passign,        // field a/b = expr.resize(c)
     ptrans,         // direct transition to a; b = target pc when a is a state
     pselect_keys,   // evaluate args into the parser key scratch
     pcase,          // sets [a, b) all match => go to c (target pc d)

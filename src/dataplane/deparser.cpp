@@ -17,10 +17,9 @@ packet::Packet deparse(const p4::ir::Program& prog, const PacketState& state) {
     for (const int h : prog.deparse_order) {
         if (!state.header_valid(h)) continue;
         const auto& hdr = prog.headers[static_cast<std::size_t>(h)];
-        const auto& inst = state.headers[static_cast<std::size_t>(h)];
         for (std::size_t f = 0; f < hdr.fields.size(); ++f) {
             out.deposit_bits(cursor + static_cast<std::size_t>(hdr.fields[f].offset),
-                             inst.fields[f]);
+                             state.get({h, static_cast<int>(f)}));
         }
         cursor += static_cast<std::size_t>(hdr.size_bits);
     }

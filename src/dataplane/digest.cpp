@@ -32,13 +32,19 @@ inline std::uint64_t finalize(std::uint64_t h) {
 
 std::uint64_t hash_packet_state(const p4::ir::Program& prog,
                                 const PacketState& state) {
+    // Each header's fields are one contiguous word span of the flat state,
+    // in Bitvec::word_span() order, so the word stream is the same as
+    // hashing field by field.
+    const std::vector<HeaderSpan>& spans = state.layout->headers;
+    const std::uint64_t* words = state.words.data();
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (std::size_t i = 0; i < prog.headers.size(); ++i) {
-        const auto& inst = state.headers[i];
-        h = mix_word(h, inst.valid ? 1 : 0);
-        if (!inst.valid && !prog.headers[i].is_metadata) continue;
-        for (const auto& field : inst.fields) {
-            for (const std::uint64_t w : field.word_span()) h = mix_word(h, w);
+        const bool valid = (state.valid[i / 64] >> (i % 64)) & 1;
+        h = mix_word(h, valid ? 1 : 0);
+        const HeaderSpan& span = spans[i];
+        if (!valid && !span.is_metadata) continue;
+        for (std::uint32_t w = span.word_begin; w < span.word_end; ++w) {
+            h = mix_word(h, words[w]);
         }
     }
     return finalize(h);

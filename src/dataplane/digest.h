@@ -2,7 +2,8 @@
 //
 // hash_packet_state() digests a live PacketState in place: each header's
 // valid flag, then every field's little-endian value words
-// (Bitvec::word_span()), in order.  Fields of an invalid non-metadata
+// (Bitvec::word_span()), in order -- which is the header's word span of the
+// flat state (state.h), hashed in one loop.  Fields of an invalid non-metadata
 // header are skipped, mirroring FaultLocalizer's comparison.  Words go
 // through a MurmurHash3-style step and the result through fmix64, so a
 // difference in any bit, high or low, avalanches across the digest; each

@@ -62,24 +62,6 @@ bool program_reads_timestamp(const p4::ir::Program& prog) {
     return false;
 }
 
-std::vector<bool> streamable_headers(const p4::ir::Program& prog) {
-    std::vector<bool> out;
-    out.reserve(prog.headers.size());
-    for (const auto& h : prog.headers) {
-        int cursor = 0;
-        bool stream = true;
-        for (const auto& f : h.fields) {
-            if (f.offset != cursor || f.width < 0) {
-                stream = false;
-                break;
-            }
-            cursor += f.width;
-        }
-        out.push_back(stream && cursor == h.size_bits);
-    }
-    return out;
-}
-
 // The process-wide image cache.  Entries are bucketed by program address;
 // an entry matches only when its weak owner shares the requester's control
 // block, so a dead program's entry (expired owner) is a miss even when a
@@ -148,7 +130,7 @@ Image::Image(const std::shared_ptr<const p4::ir::Program>& prog, const Quirks& q
       source(prog),
       quirks(q),
       code(compile(*prog, q)),
-      stream_hdr(streamable_headers(*prog)),
+      layout(std::make_shared<const StateLayout>(*prog, q.metadata_clobber)),
       reads_timestamp(program_reads_timestamp(*prog)),
       branch_ids(p4::ir::number_branches(*prog)) {}
 

@@ -1,9 +1,10 @@
 // The immutable half of a loaded data plane: one Image per (program, quirks).
 //
 // Everything the execution engines derive from a program and its Quirks
-// alone -- the threaded-code CompiledProgram, the per-header streamability
-// table, the timestamp-read scan that gates expiry_off_by_one, and the
-// branch ordinals coverage keys on -- is built once here and shared,
+// alone -- the threaded-code CompiledProgram, the packet-state layout with
+// its initial-state template, the timestamp-read scan that gates
+// expiry_off_by_one, and the branch ordinals coverage keys on -- is built
+// once here and shared,
 // read-only, by every Pipeline that runs that pair, on any thread.  What a
 // device mutates (tables, stateful externs, counters, execution scratch)
 // stays per Pipeline.
@@ -21,6 +22,7 @@
 
 #include "dataplane/compiled_ops.h"
 #include "dataplane/quirks.h"
+#include "dataplane/state.h"
 #include "p4/ir.h"
 
 namespace ndb::dataplane {
@@ -41,10 +43,14 @@ struct Image {
     // compile(program, quirks).
     compiled::CompiledProgram code;
 
-    // Per-header streamability, indexed by header id: true when the fields
-    // tile [0, size_bits) contiguously, so extract/deparse can stream bits
-    // sequentially instead of re-addressing the buffer per field.
-    std::vector<bool> stream_hdr;
+    // Where every field lives in a PacketState's word array (state.h), and
+    // the template every packet's state is reset from: metadata headers
+    // valid, fields zeroed -- or, under quirks.metadata_clobber, user
+    // metadata carrying the uninitialized-memory pattern.  Shared with every
+    // state (and tap copy) the image's pipelines hand out.  compile() lays
+    // the program out with the same function, so the offsets baked into
+    // `code` index this layout.
+    std::shared_ptr<const StateLayout> layout;
 
     // Whether any expression reads the ingress timestamp (the aging clock
     // expiry_off_by_one perturbs; see Pipeline::process).

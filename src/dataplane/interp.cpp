@@ -230,8 +230,7 @@ void Interpreter::exec(const Stmt& s, PacketState& state, Frame& frame) {
             return;
         }
         case Stmt::Kind::set_valid:
-            state.headers.at(static_cast<std::size_t>(s.dst.header)).valid =
-                s.make_valid;
+            state.set_valid(s.dst.header, s.make_valid);
             return;
         case Stmt::Kind::extern_op:
             exec_extern(s, state, frame);
@@ -246,7 +245,7 @@ void Interpreter::exec_extern(const Stmt& s, PacketState& state, Frame& frame) {
     const auto index_of = [&](const p4::ir::ExprPtr& e) -> std::uint64_t {
         return e ? eval_expr(prog_, *e, state, frame, quirks_).to_u64() : 0;
     };
-    const std::uint64_t pkt_bytes = state.get(prog_.f_packet_length).to_u64();
+    const std::uint64_t pkt_bytes = state.u64(prog_.f_packet_length);
 
     switch (s.ext) {
         case p4::ir::ExternKind::mark_to_drop:
@@ -315,7 +314,6 @@ void checksum_update_field(const Program& prog, PacketState& state, int header,
                            int checksum_field,
                            std::vector<std::uint8_t>& bytes_scratch) {
     const auto& hdr = prog.headers.at(static_cast<std::size_t>(header));
-    const auto& inst = state.headers.at(static_cast<std::size_t>(header));
     // Serialize the header with the checksum field forced to zero, then take
     // the RFC 1071 checksum of the byte image.  The image is streamed
     // MSB-first into the byte scratch instead of built from O(fields^2)
@@ -328,14 +326,17 @@ void checksum_update_field(const Program& prog, PacketState& state, int header,
             bitpos += static_cast<std::size_t>(w);  // scratch is pre-zeroed
             continue;
         }
-        const Bitvec& v = inst.fields[f];
+        const Bitvec v = state.get({header, static_cast<int>(f)});
         // Deposit in <=32-bit chunks, high bits of the field first; the
         // buffer is pre-zeroed, so OR-ing whole covering bytes suffices.
+        // Chunks of a field of 64 bits or fewer are cut with shifts.
         int remaining = w;
         while (remaining > 0) {
             const int chunk = std::min(remaining, 32);
+            const int lo = remaining - chunk;
             const std::uint64_t bits =
-                v.slice(remaining - 1, remaining - chunk).to_u64();
+                w <= 64 ? (v.to_u64() >> lo) & ((std::uint64_t{1} << chunk) - 1)
+                        : v.slice(remaining - 1, lo).to_u64();
             const std::size_t end = bitpos + static_cast<std::size_t>(chunk);
             const std::size_t first = bitpos / 8;
             const std::size_t last = (end + 7) / 8;  // exclusive

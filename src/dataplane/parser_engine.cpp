@@ -70,15 +70,14 @@ ParserVerdict ParserEngine::run(const packet::Packet& pkt, PacketState& state,
                     if (cursor + static_cast<std::size_t>(hdr.size_bits) > total_bits) {
                         return finish(ParserVerdict::error_truncated);
                     }
-                    auto& inst =
-                        state.headers.at(static_cast<std::size_t>(op.header));
                     for (std::size_t f = 0; f < hdr.fields.size(); ++f) {
                         const auto& field = hdr.fields[f];
-                        inst.fields[f] = pkt.extract_bits(
-                            cursor + static_cast<std::size_t>(field.offset),
-                            field.width);
+                        state.set({op.header, static_cast<int>(f)},
+                                  pkt.extract_bits(
+                                      cursor + static_cast<std::size_t>(field.offset),
+                                      field.width));
                     }
-                    inst.valid = true;
+                    state.set_valid(op.header, true);
                     cursor += static_cast<std::size_t>(hdr.size_bits);
                     ++extracts;
                     state.cycles += 1;

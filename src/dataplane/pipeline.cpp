@@ -35,7 +35,8 @@ Pipeline::Pipeline(std::shared_ptr<const Image> image, TableSet& tables,
       interp_(*image_, tables, stateful),
       compiled_(*image_, tables, stateful),
       quirk_expiry_clock_(image_->quirks.expiry_off_by_one &&
-                          image_->reads_timestamp) {}
+                          image_->reads_timestamp),
+      state_(image_->layout) {}
 
 void Pipeline::set_coverage(coverage::CoverageMap* map, std::uint64_t salt) {
     coverage_ = map;
@@ -73,9 +74,7 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
         }
     } packet_timer{timed, t_mark, obs::pipeline_hist(3, obs_engine)};
 
-    state_.ensure_shape(prog_);
-    state_.reset(prog_, in.meta, static_cast<std::uint32_t>(in.size()),
-                 image_->quirks.metadata_clobber);
+    state_.reset(in.meta, static_cast<std::uint32_t>(in.size()));
     if (quirk_expiry_clock_) {
         // expiry_off_by_one quirk: the aging clock latch loses its low
         // microsecond bit, so stored last-seen stamps and timeout deltas sit

@@ -147,7 +147,8 @@ private:
     // expiry_off_by_one is active AND the program reads the aging clock
     // (Image::reads_timestamp).
     bool quirk_expiry_clock_ = false;
-    // Per-packet execution state, reset in place each process() call so the
+    // Per-packet execution state, sized once for the image's layout and
+    // reset in place from its template each process() call, so the
     // steady-state hot path performs no per-packet allocation.
     PacketState state_;
 };

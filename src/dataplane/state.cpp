@@ -1,7 +1,5 @@
 #include "dataplane/state.h"
 
-#include <stdexcept>
-
 #include "util/strings.h"
 
 namespace ndb::dataplane {
@@ -16,76 +14,88 @@ const char* parser_verdict_name(ParserVerdict verdict) {
     return "?";
 }
 
+namespace {
+
+// The slot of a standard metadata field, which reset() writes at a fixed
+// width.
+FieldSlot standard_slot(const StateLayout& layout, p4::ir::FieldRef ref, int width) {
+    const FieldSlot& s = layout.slot(ref);
+    if (s.width != width) {
+        throw std::invalid_argument("PacketState::set: width mismatch");
+    }
+    return s;
+}
+
+}  // namespace
+
+StateLayout::StateLayout(const p4::ir::Program& prog, bool clobber_meta) {
+    headers.reserve(prog.headers.size());
+    init_valid.assign((prog.headers.size() + 63) / 64, 0);
+    for (std::size_t hi = 0; hi < prog.headers.size(); ++hi) {
+        const auto& h = prog.headers[hi];
+        HeaderSpan span;
+        span.word_begin = word_count;
+        span.slot_begin = static_cast<std::uint32_t>(slots.size());
+        span.is_metadata = h.is_metadata;
+        // Alternate bit pattern models uninitialized device memory: bits
+        // 0, 2, 4, ... of every field, so every word but a field's masked top
+        // word is 0x5555...5555.
+        const bool clobber =
+            clobber_meta && h.is_metadata && h.name != "standard_metadata";
+        int cursor = 0;  // next bit a streamable header's field must start at
+        span.streamable = true;
+        for (const auto& f : h.fields) {
+            if (f.width < 0) throw std::invalid_argument("Bitvec: negative width");
+            span.streamable = span.streamable && f.offset == cursor;
+            cursor += f.width;
+            slots.push_back({word_count, f.width});
+            const std::uint32_t n = slot_words(f.width);
+            for (std::uint32_t i = 0; i < n; ++i) {
+                const int bits = std::clamp(f.width - 64 * static_cast<int>(i), 0, 64);
+                const std::uint64_t mask = bits == 64 ? ~0ull : (1ull << bits) - 1;
+                init_words.push_back(clobber ? 0x5555555555555555ull & mask : 0);
+            }
+            word_count += n;
+        }
+        span.streamable = span.streamable && cursor == h.size_bits;
+        span.word_end = word_count;
+        span.slot_end = static_cast<std::uint32_t>(slots.size());
+        headers.push_back(span);
+        if (h.is_metadata) init_valid[hi / 64] |= std::uint64_t{1} << (hi % 64);
+    }
+    ingress_port = standard_slot(*this, prog.f_ingress_port, 9);
+    packet_length = standard_slot(*this, prog.f_packet_length, 32);
+    timestamp = standard_slot(*this, prog.f_timestamp, 48);
+}
+
+PacketState::PacketState(std::shared_ptr<const StateLayout> l)
+    : layout(std::move(l)), words(layout->init_words), valid(layout->init_valid) {}
+
 PacketState PacketState::initial(const p4::ir::Program& prog,
                                  const packet::PacketMeta& meta,
                                  std::uint32_t packet_len, bool clobber_meta) {
-    PacketState st;
-    st.ensure_shape(prog);
-    st.reset(prog, meta, packet_len, clobber_meta);
+    PacketState st(std::make_shared<const StateLayout>(prog, clobber_meta));
+    st.reset(meta, packet_len);
     return st;
 }
 
-void PacketState::ensure_shape(const p4::ir::Program& prog) {
-    if (shaped_for == &prog) return;
-    headers.clear();
-    headers.reserve(prog.headers.size());
-    for (const auto& h : prog.headers) {
-        HeaderInstance inst;
-        inst.fields.reserve(h.fields.size());
-        for (const auto& f : h.fields) inst.fields.emplace_back(f.width);
-        headers.push_back(std::move(inst));
-    }
-    shaped_for = &prog;
-}
-
-void PacketState::reset(const p4::ir::Program& prog, const packet::PacketMeta& m,
-                        std::uint32_t packet_len, bool clobber_meta) {
+void PacketState::reset(const packet::PacketMeta& m, std::uint32_t packet_len) {
+    const StateLayout& l = *layout;
     meta = m;
     parser_verdict = ParserVerdict::accept;
     cycles = 0;
     exited = false;
     vanished = false;
     payload.clear();
-    for (std::size_t hi = 0; hi < prog.headers.size(); ++hi) {
-        const auto& h = prog.headers[hi];
-        auto& inst = headers[hi];
-        inst.valid = h.is_metadata;
-        const bool clobber =
-            clobber_meta && h.is_metadata && h.name != "standard_metadata";
-        for (std::size_t fi = 0; fi < h.fields.size(); ++fi) {
-            util::Bitvec& v = inst.fields[fi];
-            v.zero();
-            if (clobber) {
-                // Alternate bit pattern models uninitialized device memory.
-                for (int i = 0; i < h.fields[fi].width; i += 2) v.set_bit(i, true);
-            }
-        }
-    }
-    set(prog.f_ingress_port, util::Bitvec(9, m.ingress_port));
-    set(prog.f_packet_length, util::Bitvec(32, packet_len));
-    set(prog.f_timestamp, util::Bitvec(48, m.rx_time_ns / 1000));  // usec
-}
-
-const util::Bitvec& PacketState::get(p4::ir::FieldRef ref) const {
-    return headers.at(static_cast<std::size_t>(ref.header))
-        .fields.at(static_cast<std::size_t>(ref.field));
-}
-
-void PacketState::set(p4::ir::FieldRef ref, util::Bitvec value) {
-    auto& slot = headers.at(static_cast<std::size_t>(ref.header))
-                     .fields.at(static_cast<std::size_t>(ref.field));
-    if (slot.width() != value.width()) {
-        throw std::invalid_argument("PacketState::set: width mismatch");
-    }
-    slot = std::move(value);
-}
-
-bool PacketState::header_valid(int header) const {
-    return headers.at(static_cast<std::size_t>(header)).valid;
+    std::copy(l.init_words.begin(), l.init_words.end(), words.begin());
+    std::copy(l.init_valid.begin(), l.init_valid.end(), valid.begin());
+    words[l.ingress_port.word] = m.ingress_port & ((1ull << 9) - 1);
+    words[l.packet_length.word] = packet_len;
+    words[l.timestamp.word] = (m.rx_time_ns / 1000) & ((1ull << 48) - 1);  // usec
 }
 
 std::uint64_t PacketState::egress_spec(const p4::ir::Program& prog) const {
-    return get(prog.f_egress_spec).to_u64();
+    return u64(prog.f_egress_spec);
 }
 
 bool PacketState::drop_flagged(const p4::ir::Program& prog) const {
@@ -96,8 +106,8 @@ std::string PacketState::summary(const p4::ir::Program& prog) const {
     std::string s = util::format("verdict=%s egress_spec=%llu",
                                  parser_verdict_name(parser_verdict),
                                  static_cast<unsigned long long>(egress_spec(prog)));
-    for (std::size_t h = 0; h < headers.size(); ++h) {
-        if (!headers[h].valid || prog.headers[h].is_metadata) continue;
+    for (std::size_t h = 0; h < prog.headers.size(); ++h) {
+        if (!header_valid(static_cast<int>(h)) || prog.headers[h].is_metadata) continue;
         s += " " + prog.headers[h].name;
     }
     return s;

@@ -119,6 +119,15 @@ Bitvec Bitvec::ones(int width) {
     return r;
 }
 
+Bitvec Bitvec::from_words(int width, std::span<const std::uint64_t> words) {
+    Bitvec r(width);
+    const std::size_t n =
+        std::min(words.size(), static_cast<std::size_t>(r.word_count()));
+    std::copy_n(words.begin(), n, r.words());
+    r.normalize();
+    return r;
+}
+
 void Bitvec::normalize() {
     if (width_ == 0) {
         inline_ = 0;

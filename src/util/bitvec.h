@@ -96,6 +96,11 @@ public:
     // All-ones value of the given width.
     static Bitvec ones(int width);
 
+    // Value from a little-endian word image (the word_span() order).  Words
+    // beyond ceil(width/64) are ignored, missing ones read as zero, and bits
+    // above `width` are cleared.
+    static Bitvec from_words(int width, std::span<const std::uint64_t> words);
+
     int width() const { return width_; }
     bool empty() const { return width_ == 0; }
 

@@ -4,7 +4,9 @@
 
 #include "core/campaign.h"
 #include "core/specgen.h"
+#include "core/testspec.h"
 #include "target/device.h"
+#include "util/random.h"
 
 namespace {
 
@@ -129,6 +131,45 @@ TEST(CampaignEngine, RegisteredBackendsJoinTheSweepByDefault) {
         }
     }
     EXPECT_TRUE(found) << report.to_string();
+}
+
+// Random template fields are built a 64-bit draw at a time; the bits must be
+// exactly those of the one-bit-at-a-time construction they replaced (same
+// draws, same order, low chunk first), or every generated packet changes.
+TEST(PacketTemplate, RandomFieldsMatchABitByBitReference) {
+    core::PacketTemplate tmpl;
+    std::vector<std::uint8_t> base(72);
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        base[i] = static_cast<std::uint8_t>(0xa5 ^ (i * 7));
+    }
+    tmpl.base = packet::Packet(base);
+    tmpl.seed = 0xfeed;
+    // Unaligned, non-overlapping fields of each interesting width.
+    const std::vector<std::pair<std::size_t, int>> fields = {
+        {3, 1}, {40, 63}, {110, 64}, {180, 65}, {250, 128}, {390, 130}};
+    for (const auto& [offset, width] : fields) {
+        core::FieldMutation m;
+        m.bit_offset = offset;
+        m.width = width;
+        m.mode = core::FieldMutation::Mode::random;
+        tmpl.mutations.push_back(m);
+    }
+    for (std::uint64_t seq = 0; seq < 32; ++seq) {
+        packet::Packet expect = tmpl.base;
+        for (const auto& m : tmpl.mutations) {
+            util::Rng rng(tmpl.seed ^ (seq * 0x9e3779b97f4a7c15ull) ^
+                          (m.bit_offset << 16));
+            util::Bitvec v(m.width);
+            for (int i = 0; i < m.width; i += 64) {
+                const std::uint64_t bits = rng.next_u64();
+                for (int b = 0; b < 64 && i + b < m.width; ++b) {
+                    v.set_bit(i + b, (bits >> b) & 1);
+                }
+            }
+            expect.deposit_bits(m.bit_offset, v);
+        }
+        EXPECT_TRUE(core::instantiate(tmpl, seq).same_bytes(expect)) << "seq " << seq;
+    }
 }
 
 }  // namespace

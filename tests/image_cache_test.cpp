@@ -144,7 +144,7 @@ TEST(ImageCache, CachedImageEqualsAFreshCompile) {
             EXPECT_EQ(image->quirks, quirks);
             EXPECT_TRUE(image->code == dataplane::compile(*prog, quirks));
             EXPECT_EQ(image->branch_ids, p4::ir::number_branches(*prog));
-            EXPECT_EQ(image->stream_hdr.size(), prog->headers.size());
+            EXPECT_EQ(image->layout->headers.size(), prog->headers.size());
             EXPECT_EQ(dataplane::image_for(prog, quirks), image);
         }
     }

@@ -77,10 +77,12 @@ std::uint64_t ref_hash(const p4::ir::Program& prog,
                        const dataplane::PacketState& state) {
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (std::size_t i = 0; i < prog.headers.size(); ++i) {
-        const auto& inst = state.headers[i];
-        h = ref_step(h, inst.valid ? 1 : 0);
-        if (!inst.valid && !prog.headers[i].is_metadata) continue;
-        for (const auto& field : inst.fields) {
+        const int hi = static_cast<int>(i);
+        const bool valid = state.header_valid(hi);
+        h = ref_step(h, valid ? 1 : 0);
+        if (!valid && !prog.headers[i].is_metadata) continue;
+        for (std::size_t f = 0; f < prog.headers[i].fields.size(); ++f) {
+            const util::Bitvec field = state.get({hi, static_cast<int>(f)});
             for (const std::uint64_t w : ref_words(field)) h = ref_step(h, w);
         }
     }
@@ -101,11 +103,14 @@ bool taps_equal(const p4::ir::Program& prog,
                 const std::optional<dataplane::PacketState>& b) {
     if (!a || !b) return !a && !b;
     for (std::size_t i = 0; i < prog.headers.size(); ++i) {
-        const auto& ha = a->headers[i];
-        const auto& hb = b->headers[i];
-        if (ha.valid != hb.valid) return false;
-        if (!ha.valid && !prog.headers[i].is_metadata) continue;
-        if (ha.fields != hb.fields) return false;
+        const int hi = static_cast<int>(i);
+        const bool valid = a->header_valid(hi);
+        if (valid != b->header_valid(hi)) return false;
+        if (!valid && !prog.headers[i].is_metadata) continue;
+        for (std::size_t f = 0; f < prog.headers[i].fields.size(); ++f) {
+            const p4::ir::FieldRef ref{hi, static_cast<int>(f)};
+            if (a->get(ref) != b->get(ref)) return false;
+        }
     }
     return true;
 }
@@ -326,14 +331,16 @@ NdpSwitch(MyParser(), MyIngress(), MyDeparser()) main;
 
     dataplane::PacketState base =
         dataplane::PacketState::initial(*prog, packet::PacketMeta{}, 64);
-    auto& inst = base.headers[static_cast<std::size_t>(wide)];
-    inst.valid = true;
-    ASSERT_EQ(inst.fields.size(), 5u);
+    base.set_valid(wide, true);
+    ASSERT_EQ(prog->headers[static_cast<std::size_t>(wide)].fields.size(), 5u);
     const std::vector<int> widths = {1, 63, 64, 65, 128};
-    for (std::size_t f = 0; f < inst.fields.size(); ++f) {
-        ASSERT_EQ(inst.fields[f].width(), widths[f]);
+    for (std::size_t f = 0; f < widths.size(); ++f) {
+        const p4::ir::FieldRef ref{wide, static_cast<int>(f)};
+        util::Bitvec field = base.get(ref);
+        ASSERT_EQ(field.width(), widths[f]);
         // A non-trivial starting value: alternate bits set.
-        for (int b = 0; b < widths[f]; b += 2) inst.fields[f].set_bit(b, true);
+        for (int b = 0; b < widths[f]; b += 2) field.set_bit(b, true);
+        base.set(ref, field);
     }
 
     const std::uint64_t base_hash = dataplane::hash_packet_state(*prog, base);
@@ -341,11 +348,13 @@ NdpSwitch(MyParser(), MyIngress(), MyDeparser()) main;
 
     std::set<std::uint64_t> seen = {base_hash};
     std::size_t variants = 1;
-    for (std::size_t f = 0; f < inst.fields.size(); ++f) {
+    for (std::size_t f = 0; f < widths.size(); ++f) {
+        const p4::ir::FieldRef ref{wide, static_cast<int>(f)};
         for (int b = 0; b < widths[f]; ++b) {
             dataplane::PacketState flipped = base;
-            auto& field = flipped.headers[static_cast<std::size_t>(wide)].fields[f];
+            util::Bitvec field = flipped.get(ref);
             field.set_bit(b, !field.bit(b));
+            flipped.set(ref, field);
             const std::uint64_t h = dataplane::hash_packet_state(*prog, flipped);
             EXPECT_NE(h, base_hash) << "width " << widths[f] << " bit " << b;
             EXPECT_EQ(h, ref_hash(*prog, flipped));
@@ -354,7 +363,7 @@ NdpSwitch(MyParser(), MyIngress(), MyDeparser()) main;
         }
     }
     dataplane::PacketState toggled = base;
-    toggled.headers[static_cast<std::size_t>(wide)].valid = false;
+    toggled.set_valid(wide, false);
     const std::uint64_t toggled_hash = dataplane::hash_packet_state(*prog, toggled);
     EXPECT_NE(toggled_hash, base_hash);
     seen.insert(toggled_hash);
