@@ -20,9 +20,9 @@
 // from cache instead of being executed twice -- exactly-once effects under
 // at-least-once delivery.
 //
-// WireChannel is the only channel to a device: core::Controller reaches
-// its device over a clean LoopbackTransport, the campaign's
-// management-fault mode over a faulted one.
+// WireChannel is the only channel to a device: the campaign's
+// management-plane mode reaches its device over a LoopbackTransport, clean
+// or faulted by a FaultPlan.
 #pragma once
 
 #include <cstdint>

@@ -12,7 +12,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/generator.h"
 #include "core/mutate.h"
 #include "core/scenario_exec.h"
 #include "obs/metrics.h"

@@ -1,6 +1,5 @@
 #include "core/checker.h"
 
-#include "core/generator.h"
 #include "util/strings.h"
 
 namespace ndb::core {
@@ -53,7 +52,7 @@ void OutputPacketChecker::record_violation(std::size_t rule,
     ++report_.violations;
     if (report_.samples.size() < max_samples_) {
         std::uint64_t seq = 0, t = 0;
-        TestPacketGenerator::read_stamp(pkt, seq, t);
+        packet::read_stamp(pkt, seq, t);
         report_.samples.push_back({seq, port, std::move(reason)});
     }
 }
@@ -62,9 +61,9 @@ void OutputPacketChecker::observe(const packet::Packet& pkt, std::uint32_t port)
     ++report_.observed;
 
     std::uint64_t seq = 0, stamp_ns = 0;
-    const bool stamped = TestPacketGenerator::read_stamp(pkt, seq, stamp_ns);
+    const bool stamped = packet::read_stamp(pkt, seq, stamp_ns);
     if (stamped && pkt.meta.tx_time_ns >= stamp_ns) {
-        report_.latency_ns.add(pkt.meta.tx_time_ns - stamp_ns);
+        report_.latency_ns.record(pkt.meta.tx_time_ns - stamp_ns);
     }
     if (stamped) {
         if (seq == next_expected_seq_) {
@@ -114,9 +113,9 @@ void OutputPacketChecker::observe(const packet::Packet& pkt, std::uint32_t port)
                 break;
             }
             case Expectation::Kind::field_preserved: {
-                ++rule.checked;
                 // Compare against the regenerated input for this sequence.
                 if (!stamped) break;
+                ++rule.checked;
                 const packet::Packet original = instantiate(spec_.tmpl, seq);
                 if (original.size() * 8 <
                         e.bit_offset + static_cast<std::size_t>(e.width) ||

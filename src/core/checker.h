@@ -18,7 +18,7 @@
 #include "dataplane/pipeline.h"
 #include "dataplane/stateful.h"
 #include "dataplane/tables.h"
-#include "util/stats.h"
+#include "obs/metrics.h"
 
 namespace ndb::core {
 
@@ -39,7 +39,7 @@ struct CheckReport {
     std::uint64_t violations = 0;        // total across rules
     std::vector<RuleStats> rules;
     std::vector<FailureSample> samples;  // bounded
-    util::LatencyHistogram latency_ns;
+    obs::HistogramData latency_ns;       // log2 buckets, stamped packets
     std::uint64_t seq_gaps = 0;
     std::uint64_t seq_dups_or_reorder = 0;
     bool passed = false;

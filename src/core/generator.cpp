@@ -1,16 +1,6 @@
 #include "core/generator.h"
 
-#include "util/strings.h"
-
 namespace ndb::core {
-
-std::string GeneratorStats::to_string() const {
-    return util::format("injected=%llu span=[%llu..%llu]ns offered=%.0f pps",
-                        static_cast<unsigned long long>(injected),
-                        static_cast<unsigned long long>(first_inject_ns),
-                        static_cast<unsigned long long>(last_inject_ns),
-                        offered_pps);
-}
 
 TestPacketGenerator::TestPacketGenerator(const TestSpec& spec) : spec_(spec) {
     if (spec_.mutator) {
@@ -41,31 +31,6 @@ TestPacketGenerator::TestPacketGenerator(const TestSpec& spec) : spec_(spec) {
 
 TestPacketGenerator::~TestPacketGenerator() = default;
 
-void TestPacketGenerator::write_stamp(packet::Packet& pkt, std::uint64_t seq,
-                                      std::uint64_t t_ns) {
-    if (pkt.size() < kStampBytes + 14) pkt.resize(kStampBytes + 14);
-    const std::size_t base = pkt.size() - kStampBytes;
-    for (int i = 0; i < 8; ++i) {
-        pkt.set_byte(base + static_cast<std::size_t>(i),
-                     static_cast<std::uint8_t>(seq >> (56 - 8 * i)));
-        pkt.set_byte(base + 8 + static_cast<std::size_t>(i),
-                     static_cast<std::uint8_t>(t_ns >> (56 - 8 * i)));
-    }
-}
-
-bool TestPacketGenerator::read_stamp(const packet::Packet& pkt, std::uint64_t& seq,
-                                     std::uint64_t& t_ns) {
-    if (pkt.size() < kStampBytes) return false;
-    const std::size_t base = pkt.size() - kStampBytes;
-    seq = 0;
-    t_ns = 0;
-    for (int i = 0; i < 8; ++i) {
-        seq = (seq << 8) | pkt.byte(base + static_cast<std::size_t>(i));
-        t_ns = (t_ns << 8) | pkt.byte(base + 8 + static_cast<std::size_t>(i));
-    }
-    return true;
-}
-
 packet::Packet TestPacketGenerator::make_packet(std::uint64_t seq,
                                                 std::uint64_t inject_ns) {
     packet::Packet pkt = instantiate(spec_.tmpl, seq);
@@ -89,28 +54,8 @@ packet::Packet TestPacketGenerator::make_packet(std::uint64_t seq,
     pkt.meta.id = seq;
     pkt.meta.ingress_port = spec_.inject_port;
     pkt.meta.rx_time_ns = inject_ns;
-    write_stamp(pkt, seq, inject_ns);
+    packet::write_stamp(pkt, seq, inject_ns);
     return pkt;
-}
-
-GeneratorStats TestPacketGenerator::run(target::Device& device) {
-    GeneratorStats stats;
-    const double interval_ns = spec_.rate_pps > 0 ? 1e9 / spec_.rate_pps : 0.0;
-    const std::uint64_t base_ns = device.now_ns();
-    for (std::uint64_t seq = 1; seq <= spec_.count; ++seq) {
-        const std::uint64_t t =
-            base_ns + static_cast<std::uint64_t>(interval_ns *
-                                                 static_cast<double>(seq - 1));
-        packet::Packet pkt = make_packet(seq, t);
-        if (stats.injected == 0) stats.first_inject_ns = t;
-        stats.last_inject_ns = t;
-        ++stats.injected;
-        device.inject(std::move(pkt));
-    }
-    const double span =
-        static_cast<double>(stats.last_inject_ns - stats.first_inject_ns) + 1.0;
-    stats.offered_pps = static_cast<double>(stats.injected) * 1e9 / span;
-    return stats;
 }
 
 }  // namespace ndb::core

@@ -2,10 +2,9 @@
 // modules (paper Figure 1).
 //
 // Generates a deterministic packet stream from a TestSpec -- template field
-// mutations, optional P4 mutator program, sequence/timestamp stamps -- and
-// injects it directly into the data plane under test, bypassing the
-// external interfaces.  Generation runs at a configured rate up to line
-// rate; the injected timeline is what the device's timing model sees.
+// mutations, optional P4 mutator program, sequence/timestamp stamps -- that
+// the caller injects directly into the data plane under test, bypassing the
+// external interfaces.
 #pragma once
 
 #include <cstdint>
@@ -15,37 +14,17 @@
 #include "dataplane/pipeline.h"
 #include "dataplane/stateful.h"
 #include "dataplane/tables.h"
-#include "target/device.h"
 
 namespace ndb::core {
-
-// Payload stamp layout (from the packet tail): 8-byte seq, 8-byte timestamp.
-inline constexpr std::size_t kStampBytes = 16;
-
-struct GeneratorStats {
-    std::uint64_t injected = 0;
-    std::uint64_t first_inject_ns = 0;
-    std::uint64_t last_inject_ns = 0;
-    double offered_pps = 0.0;
-
-    std::string to_string() const;
-};
 
 class TestPacketGenerator {
 public:
     explicit TestPacketGenerator(const TestSpec& spec);
     ~TestPacketGenerator();
 
-    // Builds packet number `seq` (without injecting it).
+    // Builds packet number `seq`, stamped with `seq` and `inject_ns`
+    // (packet::write_stamp), ready to inject.
     packet::Packet make_packet(std::uint64_t seq, std::uint64_t inject_ns);
-
-    // Runs the whole stream into the device.
-    GeneratorStats run(target::Device& device);
-
-    static void write_stamp(packet::Packet& pkt, std::uint64_t seq,
-                            std::uint64_t t_ns);
-    static bool read_stamp(const packet::Packet& pkt, std::uint64_t& seq,
-                           std::uint64_t& t_ns);
 
 private:
     const TestSpec& spec_;

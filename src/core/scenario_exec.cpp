@@ -16,7 +16,7 @@ using dataplane::TapDigest;
 
 std::uint64_t stamp_seq(const packet::Packet& pkt) {
     std::uint64_t seq = 0, t = 0;
-    return TestPacketGenerator::read_stamp(pkt, seq, t) ? seq : 0;
+    return packet::read_stamp(pkt, seq, t) ? seq : 0;
 }
 
 // Mixes (plan seed, program, scenario seed, DUT index) into the per-run

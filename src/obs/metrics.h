@@ -121,6 +121,9 @@ inline std::uint64_t hist_bucket_upper(int bucket) {
 struct HistogramData {
     std::array<std::uint64_t, kHistBuckets> buckets{};
 
+    void record(std::uint64_t value) {
+        ++buckets[static_cast<std::size_t>(hist_bucket(value))];
+    }
     std::uint64_t count() const;
     // Bucket upper bound at percentile p (in [0,100]); 0 when empty.
     std::uint64_t percentile(double p) const;

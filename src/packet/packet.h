@@ -63,4 +63,15 @@ private:
     std::vector<std::uint8_t> data_;
 };
 
+// Payload stamp: the packet's last 16 bytes carry an 8-byte sequence number
+// then an 8-byte timestamp, both big-endian.  The in-device generator and
+// the external tester write it; the checker and the campaign read it back.
+inline constexpr std::size_t kStampBytes = 16;
+
+// Stamps the tail of `pkt`, first growing it to a zero-padded Ethernet
+// header plus stamp if it is shorter.
+void write_stamp(Packet& pkt, std::uint64_t seq, std::uint64_t t_ns);
+// False (outputs untouched) when the packet is too short to carry a stamp.
+bool read_stamp(const Packet& pkt, std::uint64_t& seq, std::uint64_t& t_ns);
+
 }  // namespace ndb::packet

@@ -11,8 +11,8 @@
 //                            RuntimeClient traffic against it: control/wire.h
 //                            frames over a clean or faultable
 //                            control/transport.h link, which is how
-//                            core::Controller and the management-plane
-//                            fuzzing mode drive a device);
+//                            the campaign's management-plane mode and
+//                            the tests drive a device);
 //   * the debug path      -- stage taps (tap_records()) that give NetDebug
 //                            the internal visibility external testers lack.
 //

@@ -6,35 +6,6 @@
 
 namespace ndb::tester {
 
-void ExternalTester::stamp(packet::Packet& pkt, std::uint64_t seq,
-                           std::uint64_t t_ns) {
-    const std::size_t need = kSeqStampBytes + kTimeStampBytes;
-    if (pkt.size() < need + 14) {  // keep the Ethernet header intact
-        pkt.resize(need + 14);
-    }
-    const std::size_t base = pkt.size() - need;
-    for (int i = 0; i < 8; ++i) {
-        pkt.set_byte(base + static_cast<std::size_t>(i),
-                     static_cast<std::uint8_t>(seq >> (56 - 8 * i)));
-        pkt.set_byte(base + 8 + static_cast<std::size_t>(i),
-                     static_cast<std::uint8_t>(t_ns >> (56 - 8 * i)));
-    }
-}
-
-bool ExternalTester::read_stamp(const packet::Packet& pkt, std::uint64_t& seq,
-                                std::uint64_t& t_ns) {
-    const std::size_t need = kSeqStampBytes + kTimeStampBytes;
-    if (pkt.size() < need) return false;
-    const std::size_t base = pkt.size() - need;
-    seq = 0;
-    t_ns = 0;
-    for (int i = 0; i < 8; ++i) {
-        seq = (seq << 8) | pkt.byte(base + static_cast<std::size_t>(i));
-        t_ns = (t_ns << 8) | pkt.byte(base + 8 + static_cast<std::size_t>(i));
-    }
-    return true;
-}
-
 std::uint64_t ExternalTester::send(const TrafficProfile& profile) {
     const double interval_ns =
         profile.rate_pps > 0 ? 1e9 / profile.rate_pps : 0.0;
@@ -46,7 +17,7 @@ std::uint64_t ExternalTester::send(const TrafficProfile& profile) {
             base_ns + static_cast<std::uint64_t>(interval_ns * static_cast<double>(i));
         pkt.meta.id = next_seq_;
         if (profile.stamp_payload) {
-            stamp(pkt, next_seq_, pkt.meta.rx_time_ns);
+            packet::write_stamp(pkt, next_seq_, pkt.meta.rx_time_ns);
         }
         ++next_seq_;
         device_.inject(std::move(pkt));
@@ -76,9 +47,10 @@ Measurement ExternalTester::measure(const TrafficProfile& profile) {
             if (first_rx == 0 || rx < first_rx) first_rx = rx;
             last_rx = std::max(last_rx, rx);
             std::uint64_t seq = 0, stamped_ns = 0;
-            if (profile.stamp_payload && read_stamp(pkt, seq, stamped_ns) &&
+            if (profile.stamp_payload && packet::read_stamp(pkt, seq, stamped_ns) &&
                 rx >= stamped_ns) {
-                m.latency_ns.add(rx - stamped_ns);
+                m.latency_ns.record(rx - stamped_ns);
+                m.latency_max_ns = std::max(m.latency_max_ns, rx - stamped_ns);
             }
         }
     }
@@ -101,7 +73,7 @@ std::string Measurement::to_string() const {
         achieved_pps, achieved_gbps,
         static_cast<unsigned long long>(latency_ns.percentile(50)),
         static_cast<unsigned long long>(latency_ns.percentile(99)),
-        static_cast<unsigned long long>(latency_ns.max_seen()));
+        static_cast<unsigned long long>(latency_max_ns));
 }
 
 }  // namespace ndb::tester

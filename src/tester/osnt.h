@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "packet/packet.h"
 #include "target/device.h"
-#include "util/stats.h"
 
 namespace ndb::tester {
 
@@ -23,12 +23,8 @@ struct TrafficProfile {
     std::uint32_t inject_port = 0;
     std::uint64_t count = 1;
     double rate_pps = 0;        // 0 = back-to-back at line rate
-    bool stamp_payload = true;  // write seq + timestamp into the payload tail
+    bool stamp_payload = true;  // packet::write_stamp into the payload tail
 };
-
-// Offsets of the tester's payload stamps, measured from the packet end.
-inline constexpr std::size_t kSeqStampBytes = 8;
-inline constexpr std::size_t kTimeStampBytes = 8;
 
 struct Measurement {
     std::uint64_t sent = 0;
@@ -36,7 +32,8 @@ struct Measurement {
     double loss_fraction = 0.0;
     double achieved_pps = 0.0;
     double achieved_gbps = 0.0;
-    util::LatencyHistogram latency_ns;
+    obs::HistogramData latency_ns;
+    std::uint64_t latency_max_ns = 0;
     std::vector<std::uint64_t> received_per_port;
 
     std::string to_string() const;
@@ -54,11 +51,6 @@ public:
 
     // send + capture on all ports + statistics.
     Measurement measure(const TrafficProfile& profile);
-
-    // Stamps/readback helpers (shared with tests).
-    static void stamp(packet::Packet& pkt, std::uint64_t seq, std::uint64_t t_ns);
-    static bool read_stamp(const packet::Packet& pkt, std::uint64_t& seq,
-                           std::uint64_t& t_ns);
 
 private:
     target::Device& device_;

@@ -38,7 +38,7 @@ struct ConcolicOptions {
     std::uint64_t timestamp_us = 1000;
     // Packet sizing: parsed bytes + pad, floored at min.  The pad keeps the
     // generator's 16 trailing stamp bytes out of the parsed region; the
-    // floor matches Generator::write_stamp's minimum resize.
+    // floor matches packet::write_stamp's minimum resize.
     int pad_bytes = 16;
     int min_packet_bytes = 30;
 };

@@ -1,11 +1,14 @@
 // Management-plane round trips: RuntimeClient -> WireChannel ->
 // LoopbackTransport -> ControlServer -> device.  Proves the paper's
 // "dedicated interface" works end-to-end as messages, not as direct calls.
+// Also drives the two in-device modules (generator + checker) and the
+// external tester against a reference device.
 #include <gtest/gtest.h>
 
 #include "control/channel.h"
 #include "control/transport.h"
-#include "core/controller.h"
+#include "core/checker.h"
+#include "core/generator.h"
 #include "core/tools.h"
 #include "p4/compiler.h"
 #include "p4/programs.h"
@@ -16,7 +19,8 @@ namespace {
 
 using namespace ndb;
 
-// A host-side client wired to a device exactly like Controller does it.
+// A host-side client wired to a device the way a host tool reaches it: a
+// WireChannel over a clean LoopbackTransport.
 struct Rig {
     std::unique_ptr<target::Device> device = target::make_reference_device();
     control::LoopbackTransport transport{device->runtime()};
@@ -189,25 +193,194 @@ TEST(DeviceRuntime, DeleteEntryAndClearTableOverTheWire) {
     EXPECT_EQ(direct->snapshot().to_string(), rig.client.snapshot().to_string());
 }
 
-TEST(DeviceRuntime, ControllerCampaignOverTheChannel) {
-    auto device = target::make_reference_device();
-    core::Controller controller(*device);
-    ASSERT_TRUE(controller.load_program(p4::programs::passthrough(), "passthrough"));
+// Streams `spec` through `device` with the two in-device modules: generate
+// and inject every packet, drain every port into the checker, then settle
+// the aggregate expectations.
+core::CheckReport run_modules(target::Device& device, const core::TestSpec& spec) {
+    core::TestPacketGenerator generator(spec);
+    core::OutputPacketChecker checker(spec);
+    for (std::uint64_t seq = 1; seq <= spec.count; ++seq) {
+        device.inject(generator.make_packet(seq, device.now_ns()));
+    }
+    for (int port = 0; port < device.config().num_ports; ++port) {
+        for (const auto& pkt : device.drain_port(static_cast<std::uint32_t>(port))) {
+            checker.observe(pkt, static_cast<std::uint32_t>(port));
+        }
+    }
+    return checker.finalize(spec.count);
+}
 
+core::Expectation expect_port(std::uint32_t port) {
+    core::Expectation e;
+    e.kind = core::Expectation::Kind::forwarded_on_port;
+    e.port = port;
+    return e;
+}
+
+core::Expectation expect_delivery(double fraction) {
+    core::Expectation e;
+    e.kind = core::Expectation::Kind::min_delivery;
+    e.fraction = fraction;
+    return e;
+}
+
+TEST(DeviceRuntime, GeneratorAndCheckerValidateAReferenceDevice) {
+    auto device = target::make_reference_device();
+    const auto prog = p4::compile_source(p4::programs::passthrough(), "passthrough");
+    ASSERT_TRUE(device->load(*prog));
+
+    // passthrough forwards everything to port 1; the P4 checker program
+    // (reject_filter) drops whatever is not IPv4.
     core::TestSpec spec;
-    spec.name = "passthrough-campaign";
+    spec.name = "passthrough";
     spec.tmpl.base = core::scenario::ipv4_udp_packet();
     spec.count = 8;
-    core::Expectation expect;
-    expect.kind = core::Expectation::Kind::forwarded_on_port;
-    expect.port = 1;
-    spec.expectations.push_back(expect);
+    spec.expectations = {expect_port(1), expect_delivery(1.0)};
+    spec.checker = core::scenario::compile(p4::programs::reject_filter(), "reject_filter");
 
-    const core::CampaignResult result = controller.run(spec);
-    EXPECT_TRUE(result.passed) << result.summary;
-    EXPECT_EQ(result.generator.injected, 8u);
-    EXPECT_EQ(result.check.observed, 8u);
-    EXPECT_EQ(result.unaccounted_packets, 0);
+    const core::CheckReport ok = run_modules(*device, spec);
+    EXPECT_TRUE(ok.passed) << ok.to_string();
+    EXPECT_EQ(ok.observed, 8u);
+    EXPECT_EQ(ok.violations, 0u);
+    ASSERT_EQ(ok.rules.size(), 3u);
+    EXPECT_EQ(ok.rules[0].checked, 8u);  // forwarded_on_port, per packet
+    EXPECT_EQ(ok.rules[1].checked, 1u);  // min_delivery, once in finalize
+    EXPECT_EQ(ok.rules[2].description, "P4 checker program accepts packet");
+    EXPECT_EQ(ok.rules[2].checked, 8u);
+    EXPECT_EQ(ok.rules[2].violations, 0u);
+    EXPECT_EQ(ok.seq_gaps, 0u);
+    EXPECT_EQ(ok.latency_ns.count(), 8u);
+
+    // An ARP packet still leaves on port 1, but the P4 checker program
+    // rejects it: exactly one violation, charged to that rule.
+    spec.tmpl.base = core::scenario::arp_packet();
+    spec.count = 1;
+    const core::CheckReport arp = run_modules(*device, spec);
+    EXPECT_FALSE(arp.passed);
+    EXPECT_EQ(arp.observed, 1u);
+    EXPECT_EQ(arp.violations, 1u);
+    ASSERT_EQ(arp.rules.size(), 3u);
+    EXPECT_EQ(arp.rules[0].violations, 0u);
+    EXPECT_EQ(arp.rules[1].violations, 0u);
+    EXPECT_EQ(arp.rules[2].checked, 1u);
+    EXPECT_EQ(arp.rules[2].violations, 1u);
+    ASSERT_EQ(arp.samples.size(), 1u);
+    EXPECT_EQ(arp.samples[0].seq, 1u);
+    EXPECT_EQ(arp.samples[0].port, 1u);
+
+    // The wrong port and a short delivery are violations too.
+    spec.tmpl.base = core::scenario::ipv4_udp_packet();
+    spec.count = 4;
+    spec.checker = nullptr;
+    spec.expectations = {expect_port(2), expect_delivery(1.0)};
+    const core::CheckReport wrong_port = run_modules(*device, spec);
+    EXPECT_EQ(wrong_port.rules[0].violations, 4u);
+    EXPECT_EQ(wrong_port.rules[1].violations, 0u);
+
+    const auto filter = p4::compile_source(p4::programs::reject_filter(), "reject_filter");
+    ASSERT_TRUE(device->load(*filter));
+    spec.tmpl.base = core::scenario::arp_packet();
+    const core::CheckReport dropped = run_modules(*device, spec);
+    EXPECT_EQ(dropped.observed, 0u);
+    EXPECT_EQ(dropped.rules[0].checked, 0u);
+    EXPECT_EQ(dropped.rules[1].violations, 1u);
+    EXPECT_FALSE(dropped.passed);
+}
+
+TEST(DeviceRuntime, CheckerComparesPreservedFieldsOnlyOnStampedPackets) {
+    core::TestSpec spec;
+    spec.tmpl.base = core::scenario::ipv4_udp_packet();
+    spec.count = 1;
+    core::Expectation keep_ttl;
+    keep_ttl.kind = core::Expectation::Kind::field_preserved;
+    keep_ttl.bit_offset = core::scenario::kIpv4TtlBit;
+    keep_ttl.width = 8;
+    spec.expectations = {keep_ttl};
+
+    // Too short to carry a stamp, so there is no input to compare against:
+    // the packet is observed but never checked.
+    {
+        core::OutputPacketChecker checker(spec);
+        checker.observe(packet::Packet::zeros(8), 1);
+        const core::CheckReport report = checker.finalize(1);
+        EXPECT_EQ(report.observed, 1u);
+        EXPECT_EQ(report.rules[0].checked, 0u) << report.to_string();
+        EXPECT_EQ(report.rules[0].violations, 0u);
+    }
+
+    // A stamped packet is compared with the regenerated input.
+    core::TestPacketGenerator generator(spec);
+    packet::Packet out = generator.make_packet(1, 0);
+    {
+        core::OutputPacketChecker checker(spec);
+        checker.observe(out, 1);
+        const core::CheckReport report = checker.finalize(1);
+        EXPECT_EQ(report.rules[0].checked, 1u);
+        EXPECT_EQ(report.rules[0].violations, 0u);
+    }
+    out.set_u(core::scenario::kIpv4TtlBit, 8, 1);
+    {
+        core::OutputPacketChecker checker(spec);
+        checker.observe(out, 1);
+        const core::CheckReport report = checker.finalize(1);
+        EXPECT_EQ(report.rules[0].checked, 1u);
+        EXPECT_EQ(report.rules[0].violations, 1u);
+    }
+}
+
+TEST(DeviceRuntime, GeneratorRunsItsP4MutatorOnEveryPacket) {
+    // The mutator's `meta.seq` receives the sequence number after its
+    // parser runs; this one writes it into the EtherType.
+    const auto mutator = core::scenario::compile(R"P4(
+header ethernet_t {
+    bit<48> dstAddr;
+    bit<48> srcAddr;
+    bit<16> etherType;
+}
+
+struct headers { ethernet_t ethernet; }
+struct metadata {
+    bit<16> seq;
+}
+
+parser MyParser(packet_in pkt, out headers hdr, inout metadata meta,
+                inout standard_metadata_t smeta) {
+    state start {
+        pkt.extract(hdr.ethernet);
+        transition accept;
+    }
+}
+
+control MyIngress(inout headers hdr, inout metadata meta,
+                  inout standard_metadata_t smeta) {
+    apply {
+        hdr.ethernet.etherType = meta.seq;
+        smeta.egress_spec = 9w1;
+    }
+}
+
+control MyDeparser(packet_out pkt, in headers hdr) {
+    apply {
+        pkt.emit(hdr.ethernet);
+    }
+}
+
+NdpSwitch(MyParser(), MyIngress(), MyDeparser()) main;
+)P4",
+                                                 "seq_to_ethertype");
+
+    core::TestSpec spec;
+    spec.tmpl.base = core::scenario::ipv4_udp_packet();
+    spec.mutator = mutator;
+    core::TestPacketGenerator generator(spec);
+    for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+        const packet::Packet pkt = generator.make_packet(seq, 1000 * seq);
+        EXPECT_EQ(pkt.u(12 * 8, 16), seq);
+        std::uint64_t stamped_seq = 0, stamped_ns = 0;
+        ASSERT_TRUE(packet::read_stamp(pkt, stamped_seq, stamped_ns));
+        EXPECT_EQ(stamped_seq, seq);
+        EXPECT_EQ(stamped_ns, 1000 * seq);
+    }
 }
 
 TEST(DeviceRuntime, MisdirectedPacketsAreCountedFirstClass) {
@@ -234,18 +407,6 @@ TEST(DeviceRuntime, MisdirectedPacketsAreCountedFirstClass) {
     // reset_state clears it like every other dynamic counter.
     ASSERT_TRUE(device->reset_state());
     EXPECT_EQ(device->snapshot().misdirected, 0u);
-
-    // The campaign surface reports the same loss with attribution.
-    core::Controller controller(*device);
-    core::TestSpec spec;
-    spec.name = "misdirected";
-    spec.tmpl.base = core::scenario::ipv4_udp_packet();
-    spec.count = 5;
-    const core::CampaignResult result = controller.run(spec);
-    EXPECT_EQ(result.misdirected, 5);
-    EXPECT_EQ(result.unaccounted_packets, 5);
-    EXPECT_NE(result.summary.find("misdirected=5"), std::string::npos)
-        << result.summary;
 }
 
 TEST(DeviceRuntime, TapRingKeepsNewestRecordsAndHonoursZeroCap) {
@@ -296,7 +457,8 @@ TEST(DeviceRuntime, ExternalTesterMeasuresThroughThePorts) {
     EXPECT_EQ(m.received_per_port[1], 16u);  // passthrough forwards to port 1
     // Egress stamping: tx = rx + cycles * ns_per_cycle, so latency is
     // observable and nonzero from the outside.
-    EXPECT_GT(m.latency_ns.max_seen(), 0u);
+    EXPECT_GT(m.latency_max_ns, 0u);
+    EXPECT_EQ(m.latency_ns.count(), 16u);
 }
 
 TEST(DeviceRuntime, BackendRegistryListsAndBuilds) {
