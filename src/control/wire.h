@@ -105,7 +105,6 @@ public:
     bool next(Frame& out);
 
     const Stats& stats() const { return stats_; }
-    std::size_t buffered_bytes() const { return buffer_.size() - pos_; }
 
 private:
     std::vector<std::uint8_t> buffer_;

@@ -10,7 +10,19 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
+// kFnvPrime^8 (mod 2^64): folding a zero byte only multiplies by the
+// prime, so a zero word folds in one multiply.  Zero words are ~97% of
+// what info() folds on the perfbench clean_sweep workload: most cells of a
+// snapshot were never written.
+constexpr std::uint64_t kFnvPrime8 = [] {
+    std::uint64_t p = 1;
+    for (int i = 0; i < 8; ++i) p *= kFnvPrime;
+    return p;
+}();
+
+// FNV-1a over the word's eight bytes, low byte first.
 std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
+    if (v == 0) return h * kFnvPrime8;
     for (int i = 0; i < 8; ++i) {
         h ^= (v >> (i * 8)) & 0xff;
         h *= kFnvPrime;

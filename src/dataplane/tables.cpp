@@ -874,4 +874,14 @@ void TableSet::reset_stats() {
     for (auto& slot : slots_) slot.stats = {};
 }
 
+void TableSet::reset(const p4::ir::Program& prog) {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        Slot& slot = slots_[i];
+        const p4::ir::Table& t = prog.tables[i];
+        slot.engine->clear();
+        slot.default_action.action_id = t.default_action;
+        slot.default_action.args = t.default_args;
+    }
+}
+
 }  // namespace ndb::dataplane

@@ -153,6 +153,13 @@ public:
     void clear(int table_id);
     void reset_stats();
 
+    // Returns every table's contents to their state right after
+    // construction from `prog` (the program this set was built from):
+    // engines emptied and the program's default actions restored.
+    // Statistics are reset_stats()'s job.  Slots are reset in place, so
+    // slot_ptr() handles stay valid.
+    void reset(const p4::ir::Program& prog);
+
 private:
     std::vector<Slot> slots_;
 };

@@ -87,8 +87,13 @@ public:
     // executable image is built once per (program, quirks) and shared by
     // every device loading the same program object under equal quirks
     // (dataplane::image_for()).  Any previously loaded program, its tables
-    // and its dynamic state are replaced, and handles resolved before the
-    // call go stale, even when the same program is loaded again.
+    // and its dynamic state are replaced.  Loading the program object the
+    // device already runs (the same shared owner) resets it in place
+    // instead: the image is kept, every table is emptied and gets the
+    // program's default action back, and the externs, counters, queues and
+    // rings are cleared as by reset_state(), leaving the device as a fresh
+    // load would.  Either way, handles resolved before the call go stale,
+    // and the tap, digest, coverage and engine settings carry over.
     virtual control::Status load(const p4::ir::Program& prog) = 0;
     virtual bool loaded() const = 0;
 

@@ -39,6 +39,16 @@ SimDevice::SimDevice(DeviceConfig config) : config_(std::move(config)) {
 }
 
 Status SimDevice::load(const p4::ir::Program& prog) {
+    if (pipeline_ && &prog == prog_.get()) {
+        // The program object this device already runs.  A device's quirks
+        // never change, so the image is the same too: keep the image, the
+        // stores and the pipeline, and return them to their freshly loaded
+        // state in place.  (A rebuild that threw part-way leaves prog_ set
+        // but no pipeline; the next load rebuilds.)
+        ++generation_;  // a reload still stales every issued handle
+        tables_->reset(*prog_);
+        return reset_state();
+    }
     // Share the caller's program when it is shared-owned; copy it once
     // otherwise.  Either way the image comes from the cache, so only the
     // first load of a (program, quirks) pair compiles.
@@ -76,8 +86,8 @@ void SimDevice::set_coverage(coverage::CoverageMap* map) {
 }
 
 void SimDevice::set_engine(dataplane::Engine engine) {
-    // Stored in the config so the choice survives load() (which rebuilds
-    // the pipeline), mirroring the coverage re-apply above.
+    // Stored in the config so the choice survives a load() that rebuilds
+    // the pipeline, mirroring the coverage re-apply above.
     config_.engine = engine;
     if (pipeline_) pipeline_->set_engine(engine);
 }

@@ -104,6 +104,7 @@ public:
 
     // Clears dynamic state (queues, counters, registers, taps) but keeps the
     // loaded image and installed table entries, like a hardware soft-reset.
+    // Reloading the running program is this plus a TableSet::reset().
     control::Status reset_state() override;
 
 private:

@@ -64,7 +64,6 @@ void SatSolver::enqueue(Lit l, int reason) {
 int SatSolver::propagate() {
     while (qhead_ < trail_.size()) {
         const Lit p = trail_[qhead_++];
-        ++stats_propagations_;
         // Clauses watching ~p must find a new watch or propagate/conflict.
         const Lit false_lit = neg(p);
         auto& watch_list = watchers_[static_cast<std::size_t>(false_lit)];

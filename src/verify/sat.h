@@ -44,7 +44,6 @@ public:
     // Statistics.
     std::uint64_t conflicts() const { return stats_conflicts_; }
     std::uint64_t decisions() const { return stats_decisions_; }
-    std::uint64_t propagations() const { return stats_propagations_; }
     std::size_t clause_count() const { return clauses_.size(); }
 
 private:
@@ -69,7 +68,6 @@ private:
     Lit pick_branch();
     void bump_var(int var);
     void decay_activity();
-    bool watch_clause(int ci);
 
     std::vector<Clause> clauses_;
     std::vector<std::vector<int>> watchers_;  // per literal: clause indices
@@ -85,7 +83,6 @@ private:
 
     std::uint64_t stats_conflicts_ = 0;
     std::uint64_t stats_decisions_ = 0;
-    std::uint64_t stats_propagations_ = 0;
 };
 
 }  // namespace ndb::verify

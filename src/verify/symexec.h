@@ -98,8 +98,6 @@ public:
     // Concatenated wire image of the path's deparsed headers (valid ones).
     SExpr wire_image(const SymPath& path) const;
 
-    int paths_truncated() const { return truncated_; }
-
 private:
     struct State {
         SExpr condition;

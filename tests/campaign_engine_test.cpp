@@ -1,10 +1,15 @@
 // CampaignEngine contract tests: determinism under sharding, dedup,
-// minimization, and registry-driven backend sweeps.
+// minimization, registry-driven backend sweeps, and errors surfacing from
+// the worker pool.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <stdexcept>
 
 #include "core/campaign.h"
 #include "core/specgen.h"
 #include "core/testspec.h"
+#include "forwarding_device.h"
 #include "target/device.h"
 #include "util/random.h"
 
@@ -131,6 +136,57 @@ TEST(CampaignEngine, RegisteredBackendsJoinTheSweepByDefault) {
         }
     }
     EXPECT_TRUE(found) << report.to_string();
+}
+
+// Loads across every LoadFailingDevice in the process.
+std::atomic<int> g_failing_loads{0};
+constexpr int kFailingLoad = 20;
+
+// A faithful device whose kFailingLoad-th load() across all instances
+// throws; every other call is forwarded to a reference device.
+class LoadFailingDevice final : public ndb_test::ForwardingDevice {
+public:
+    using ForwardingDevice::ForwardingDevice;
+
+    control::Status load(const p4::ir::Program& prog) override {
+        if (++g_failing_loads == kFailingLoad) {
+            throw std::runtime_error("device refused the image");
+        }
+        return ForwardingDevice::load(prog);
+    }
+};
+
+TEST(CampaignEngine, DeviceErrorInALaterGuidedRoundIsRethrown) {
+    // Guided rounds reuse the same worker threads; an error in one of them
+    // must still reach the caller, with every worker joined, rather than
+    // hang the round or terminate the process.
+    target::register_backend(
+        "load_fails_late", [](std::optional<dataplane::Quirks>) {
+            target::DeviceConfig cfg;
+            cfg.backend = "load_fails_late";
+            return std::make_unique<LoadFailingDevice>(
+                target::make_reference_device(std::move(cfg)));
+        });
+    core::CampaignConfig config;
+    config.base_seed = 7;
+    config.scenarios = 40;  // five rounds of eight slots
+    config.threads = 2;
+    config.coverage = true;
+    config.programs = {"l2_switch", "ipv4_router"};
+    config.duts = {core::BackendSpec{"load_fails_late", std::nullopt, "late"}};
+    g_failing_loads = 0;
+    core::CampaignEngine engine(config);
+    EXPECT_THROW(engine.run(), std::runtime_error);
+    EXPECT_GE(g_failing_loads.load(), kFailingLoad);
+
+    // Past its failing call the backend is healthy, and a new campaign on
+    // new workers runs to the end.  A clean scenario loads the DUT once,
+    // so the failing load above fell in the third round.
+    config.scenarios = 8;
+    core::CampaignEngine again(config);
+    const int before = g_failing_loads.load();
+    EXPECT_EQ(again.run().scenarios, 8u);
+    EXPECT_EQ(g_failing_loads.load() - before, 8);
 }
 
 // Random template fields are built a 64-bit draw at a time; the bits must be

@@ -21,6 +21,7 @@
 #include "core/specgen.h"
 #include "coverage/coverage.h"
 #include "coverage/scheduler.h"
+#include "forwarding_device.h"
 #include "quirk_fixture.h"
 #include "target/device.h"
 #include "util/random.h"
@@ -404,83 +405,15 @@ TEST(GuidedCampaign, ExecuteScenarioLeavesTheScratchMapEmpty) {
 // Forwards every call to a real device, but once armed throws from
 // inject() after the packet went through: the run has already lit slots
 // in whatever map is attached when it fails.
-class ThrowingDevice final : public target::Device {
+class ThrowingDevice final : public ndb_test::ForwardingDevice {
 public:
-    explicit ThrowingDevice(std::unique_ptr<target::Device> inner)
-        : inner_(std::move(inner)) {}
+    using ForwardingDevice::ForwardingDevice;
     bool armed = false;
 
-    control::Status load(const p4::ir::Program& prog) override {
-        return inner_->load(prog);
-    }
-    bool loaded() const override { return inner_->loaded(); }
-    const p4::ir::Program& program() const override { return inner_->program(); }
-    const target::DeviceConfig& config() const override { return inner_->config(); }
     void inject(packet::Packet pkt) override {
-        inner_->inject(std::move(pkt));
+        ForwardingDevice::inject(std::move(pkt));
         if (armed) throw std::runtime_error("injected failure");
     }
-    std::vector<packet::Packet> drain_port(std::uint32_t port) override {
-        return inner_->drain_port(port);
-    }
-    void set_taps_enabled(bool on) override { inner_->set_taps_enabled(on); }
-    bool taps_enabled() const override { return inner_->taps_enabled(); }
-    const std::vector<target::TapRecord>& tap_records() const override {
-        return inner_->tap_records();
-    }
-    void clear_tap_records() override { inner_->clear_tap_records(); }
-    void set_digests_enabled(bool on) override { inner_->set_digests_enabled(on); }
-    bool digests_enabled() const override { return inner_->digests_enabled(); }
-    const std::vector<dataplane::TapDigest>& digest_records() const override {
-        return inner_->digest_records();
-    }
-    void clear_digest_records() override { inner_->clear_digest_records(); }
-    void set_coverage(coverage::CoverageMap* map) override {
-        inner_->set_coverage(map);
-    }
-    coverage::CoverageMap* coverage() const override { return inner_->coverage(); }
-    std::uint64_t coverage_salt() const override { return inner_->coverage_salt(); }
-    void set_engine(dataplane::Engine engine) override { inner_->set_engine(engine); }
-    dataplane::Engine engine() const override { return inner_->engine(); }
-    std::uint64_t now_ns() const override { return inner_->now_ns(); }
-
-    control::Status add_entry(const std::string& table,
-                              const control::EntrySpec& entry) override {
-        return inner_->add_entry(table, entry);
-    }
-    control::Status delete_entry(const std::string& table,
-                                 const control::EntrySpec& entry) override {
-        return inner_->delete_entry(table, entry);
-    }
-    control::Status set_default_action(
-        const std::string& table, const std::string& action,
-        const std::vector<control::Bitvec>& args) override {
-        return inner_->set_default_action(table, action, args);
-    }
-    control::Status clear_table(const std::string& table) override {
-        return inner_->clear_table(table);
-    }
-    control::Status write_register(const std::string& name, std::uint64_t index,
-                                   const control::Bitvec& value) override {
-        return inner_->write_register(name, index, value);
-    }
-    control::Status read_register(const std::string& name, std::uint64_t index,
-                                  control::Bitvec& out) override {
-        return inner_->read_register(name, index, out);
-    }
-    control::Status read_counter(const std::string& name, std::uint64_t index,
-                                 control::CounterValue& out) override {
-        return inner_->read_counter(name, index, out);
-    }
-    control::Status configure_meter(const std::string& name, std::uint64_t index,
-                                    const control::MeterConfig& config) override {
-        return inner_->configure_meter(name, index, config);
-    }
-    control::StatusSnapshot snapshot() override { return inner_->snapshot(); }
-    control::Status reset_state() override { return inner_->reset_state(); }
-
-private:
-    std::unique_ptr<target::Device> inner_;
 };
 
 TEST(GuidedCampaign, ThrowingDetectionRunDetachesTheScratchMap) {

@@ -7,6 +7,8 @@
 //     pair produces, over the catalogue and every quirk set;
 //   * lifetime -- the device keeps its program alive, the cache never does,
 //     and a dead program's entry is never served to a newcomer;
+//   * reload -- loading the running program again keeps its image and
+//     leaves the device exactly as a fresh device that loaded it;
 //   * the Quirks key -- every field is part of both operator== and
 //     signature(), so no two quirk values can alias an image or a
 //     campaign fingerprint.
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "core/tools.h"
+#include "coverage/coverage.h"
 #include "dataplane/compile.h"
 #include "dataplane/image.h"
 #include "p4/compiler.h"
@@ -219,6 +222,234 @@ TEST(ImageCache, ReloadingTheSameProgramStillStalesHandles) {
     EXPECT_FALSE(stale.ok);
     EXPECT_NE(stale.message.find("stale"), std::string::npos) << stale.message;
     EXPECT_TRUE(dev.add_entry(dev.resolve_table("dmac"), entry).ok);
+}
+
+// Every kind of per-load state in one program: an LPM and a ternary table
+// with non-trivial default actions, a register whose value reaches the
+// output, a counter and a meter that can drop.
+constexpr std::string_view kReloadProbe = R"P4(
+header ethernet_t {
+    bit<48> dstAddr;
+    bit<48> srcAddr;
+    bit<16> etherType;
+}
+struct headers { ethernet_t ethernet; }
+struct metadata {
+    bit<16> seen;
+    bit<2> color;
+}
+
+parser MyParser(packet_in pkt, out headers hdr, inout metadata meta,
+                inout standard_metadata_t smeta) {
+    state start {
+        pkt.extract(hdr.ethernet);
+        transition accept;
+    }
+}
+
+control MyIngress(inout headers hdr, inout metadata meta,
+                  inout standard_metadata_t smeta) {
+    register<bit<16>>(8) seen;
+    counter(8) bytes;
+    meter(8) policer;
+    action drop() {
+        mark_to_drop(smeta);
+    }
+    action forward(bit<9> port) {
+        smeta.egress_spec = port;
+    }
+    action tag(bit<16> value) {
+        hdr.ethernet.etherType = value;
+    }
+    table route {
+        key = { hdr.ethernet.dstAddr : lpm; }
+        actions = { forward; drop; }
+        size = 16;
+        default_action = drop();
+    }
+    table acl {
+        key = { hdr.ethernet.srcAddr : ternary; }
+        actions = { tag; NoAction; }
+        size = 16;
+        default_action = NoAction();
+    }
+    apply {
+        seen.read(meta.seen, smeta.ingress_port);
+        seen.write(smeta.ingress_port, meta.seen + 1);
+        bytes.count(smeta.ingress_port);
+        policer.execute(smeta.ingress_port, meta.color);
+        route.apply();
+        acl.apply();
+        hdr.ethernet.etherType = hdr.ethernet.etherType + meta.seen;
+        if (meta.color == 2) {
+            drop();
+        }
+    }
+}
+
+control MyDeparser(packet_out pkt, in headers hdr) {
+    apply {
+        pkt.emit(hdr.ethernet);
+    }
+}
+
+NdpSwitch(MyParser(), MyIngress(), MyDeparser()) main;
+)P4";
+
+control::EntrySpec route_entry(std::uint64_t prefix, int len, std::uint64_t port) {
+    control::EntrySpec e;
+    e.key_values = {util::Bitvec(48, prefix)};
+    e.prefix_len = len;
+    e.action = "forward";
+    e.action_args = {util::Bitvec(9, port)};
+    return e;
+}
+
+control::EntrySpec acl_entry(std::uint64_t value, std::uint64_t mask,
+                             std::uint64_t tag) {
+    control::EntrySpec e;
+    e.key_values = {util::Bitvec(48, value)};
+    e.key_masks = {util::Bitvec(48, mask)};
+    e.priority = 5;  // every acl entry ties: insertion order decides
+    e.action = "tag";
+    e.action_args = {util::Bitvec(16, tag)};
+    return e;
+}
+
+// Ingress ports, destinations and sources chosen to hit and miss both
+// tables, on an explicit timeline so the meter colours do not depend on a
+// device's clock.
+std::vector<packet::Packet> reload_stream() {
+    std::vector<packet::Packet> out;
+    for (std::uint64_t i = 0; i < 24; ++i) {
+        std::vector<std::uint8_t> bytes(60, 0);
+        const std::uint64_t dst = (i % 3 == 0 ? 0x0b0000000000ull : 0x0a0b00000000ull) + i;
+        const std::uint64_t src = i % 4;
+        for (int b = 0; b < 6; ++b) {
+            bytes[static_cast<std::size_t>(b)] =
+                static_cast<std::uint8_t>(dst >> (8 * (5 - b)));
+            bytes[static_cast<std::size_t>(6 + b)] =
+                static_cast<std::uint8_t>(src >> (8 * (5 - b)));
+        }
+        packet::Packet pkt(std::move(bytes));
+        pkt.meta.ingress_port = static_cast<std::uint32_t>(i % 2);
+        pkt.meta.rx_time_ns = 5'000'000 + 1000 * i;
+        out.push_back(std::move(pkt));
+    }
+    return out;
+}
+
+// Programs the same tables and meter on every device the test compares;
+// defaults stay the program's, so a reload that kept the old defaults
+// shows in the output.
+void configure_reload_probe(target::Device& dev) {
+    ASSERT_TRUE(dev.add_entry("route", route_entry(0x0a0000000000ull, 8, 1)).ok);
+    ASSERT_TRUE(dev.add_entry("acl", acl_entry(0x1, 0x1, 0x0800)).ok);
+    ASSERT_TRUE(dev.add_entry("acl", acl_entry(0x3, 0x3, 0x86dd)).ok);
+    ASSERT_TRUE(dev.configure_meter("policer", 1, {8000.0, 200, 8000.0, 100}).ok);
+}
+
+// A snapshot without its timestamp: the reloaded device's clock has run on.
+std::string snapshot_text(target::Device& dev) {
+    control::StatusSnapshot snap = dev.snapshot();
+    snap.taken_at_ns = 0;
+    return snap.to_string();
+}
+
+std::vector<std::vector<std::uint8_t>> drain_all(target::Device& dev) {
+    std::vector<std::vector<std::uint8_t>> out;
+    for (int port = 0; port < dev.config().num_ports; ++port) {
+        for (const auto& p : dev.drain_port(static_cast<std::uint32_t>(port))) {
+            const auto bytes = p.bytes();
+            out.emplace_back(bytes.begin(), bytes.end());
+            out.back().push_back(static_cast<std::uint8_t>(port));
+        }
+    }
+    return out;
+}
+
+TEST(ImageCache, ReloadingTheRunningProgramEqualsAFreshDevice) {
+    const auto prog = std::shared_ptr<const Program>(
+        p4::compile_source(kReloadProbe, "reload_probe"));
+    for (const dataplane::Engine engine :
+         {dataplane::Engine::interpreter, dataplane::Engine::compiled}) {
+        SCOPED_TRACE(dataplane::engine_name(engine));
+        target::DeviceConfig cfg;
+        cfg.engine = engine;
+        target::SimDevice dev(cfg);
+        coverage::CoverageMap map;
+        dev.set_taps_enabled(true);
+        dev.set_digests_enabled(true);
+        dev.set_coverage(&map);
+        ASSERT_TRUE(dev.load(*prog));
+        const dataplane::Image* image = dev.image();
+
+        // Dirty every kind of state the load owns.
+        const control::TableHandle route = dev.resolve_table("route");
+        const control::TableHandle acl = dev.resolve_table("acl");
+        const control::ExternHandle seen = dev.resolve_extern("seen");
+        ASSERT_TRUE(dev.add_entry(route, route_entry(0x0a0000000000ull, 8, 1)).ok);
+        ASSERT_TRUE(dev.add_entry(route, route_entry(0x0a0b00000000ull, 16, 2)).ok);
+        ASSERT_TRUE(dev.add_entry(acl, acl_entry(0x3, 0x3, 0x1111)).ok);
+        ASSERT_TRUE(dev.add_entry(acl, acl_entry(0x1, 0x1, 0x2222)).ok);
+        ASSERT_TRUE(dev.set_default_action(route, "forward", {util::Bitvec(9, 3)}).ok);
+        ASSERT_TRUE(dev.set_default_action(acl, "tag", {util::Bitvec(16, 0x3333)}).ok);
+        ASSERT_TRUE(dev.write_register(seen, 0, util::Bitvec(16, 7)).ok);
+        ASSERT_TRUE(dev.configure_meter("policer", 0, {1.0, 1, 1.0, 1}).ok);
+        for (const auto& pkt : reload_stream()) dev.inject(pkt);
+        ASSERT_FALSE(dev.tap_records().empty());
+
+        ASSERT_TRUE(dev.load(*prog));
+        EXPECT_EQ(dev.image(), image);  // kept, not rebuilt
+
+        target::SimDevice fresh(cfg);
+        coverage::CoverageMap fresh_map;
+        fresh.set_taps_enabled(true);
+        fresh.set_digests_enabled(true);
+        fresh.set_coverage(&fresh_map);
+        ASSERT_TRUE(fresh.load(*prog));
+        EXPECT_EQ(snapshot_text(dev), snapshot_text(fresh));
+        EXPECT_TRUE(dev.tap_records().empty());
+        EXPECT_TRUE(dev.digest_records().empty());
+        EXPECT_TRUE(drain_all(dev).empty());
+
+        // Handles from before the reload are stale.
+        const control::Status stale_table =
+            dev.add_entry(route, route_entry(0x0c0000000000ull, 8, 1));
+        EXPECT_FALSE(stale_table.ok);
+        EXPECT_NE(stale_table.message.find("stale"), std::string::npos);
+        const control::Status stale_extern =
+            dev.write_register(seen, 0, util::Bitvec(16, 1));
+        EXPECT_FALSE(stale_extern.ok);
+        EXPECT_NE(stale_extern.message.find("stale"), std::string::npos);
+
+        // The settings carried over.
+        EXPECT_TRUE(dev.taps_enabled());
+        EXPECT_TRUE(dev.digests_enabled());
+        EXPECT_EQ(dev.coverage(), &map);
+        EXPECT_EQ(dev.engine(), engine);
+
+        // Same config, same stream: same outputs, digests, coverage, state.
+        map.clear();
+        configure_reload_probe(dev);
+        configure_reload_probe(fresh);
+        for (const auto& pkt : reload_stream()) {
+            dev.inject(pkt);
+            fresh.inject(pkt);
+        }
+        const auto outputs = drain_all(dev);
+        EXPECT_FALSE(outputs.empty());
+        EXPECT_EQ(outputs, drain_all(fresh));
+        EXPECT_EQ(dev.digest_records(), fresh.digest_records());
+        ASSERT_EQ(dev.tap_records().size(), fresh.tap_records().size());
+        for (std::size_t i = 0; i < dev.tap_records().size(); ++i) {
+            EXPECT_EQ(dev.tap_records()[i].result.disposition,
+                      fresh.tap_records()[i].result.disposition);
+        }
+        EXPECT_NE(map, coverage::CoverageMap{});
+        EXPECT_EQ(map, fresh_map);
+        EXPECT_EQ(snapshot_text(dev), snapshot_text(fresh));
+    }
 }
 
 TEST(ImageCache, StackOwnedProgramIsCopiedAndForwardsIdentically) {

@@ -9,6 +9,8 @@
 // report, byte-identical across thread and process counts.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -17,10 +19,13 @@
 #include "core/scenario_exec.h"
 #include "core/specgen.h"
 #include "core/tools.h"
+#include "dataplane/stateful.h"
+#include "p4/compiler.h"
 #include "p4/programs.h"
 #include "quirk_fixture.h"
 #include "target/device.h"
 #include "util/bitvec.h"
+#include "util/random.h"
 
 namespace {
 
@@ -199,6 +204,158 @@ TEST(StatefulNf, FabricReportMatchesInProcessRun) {
     EXPECT_TRUE(b.fabric_enabled);
     EXPECT_EQ(b.fabric.workers, 3u);
     EXPECT_EQ(a.to_json(), json_without_fabric(b));
+}
+
+// --- snapshot state hash ------------------------------------------------------
+
+// Narrow and multi-word registers, a counter and a meter.
+constexpr std::string_view kStateHashProbe = R"P4(
+header ethernet_t {
+    bit<48> dstAddr;
+    bit<48> srcAddr;
+    bit<16> etherType;
+}
+struct headers { ethernet_t ethernet; }
+struct metadata {
+    bit<32> narrow;
+    bit<100> wide;
+    bit<2> color;
+}
+
+parser MyParser(packet_in pkt, out headers hdr, inout metadata meta,
+                inout standard_metadata_t smeta) {
+    state start {
+        pkt.extract(hdr.ethernet);
+        transition accept;
+    }
+}
+
+control MyIngress(inout headers hdr, inout metadata meta,
+                  inout standard_metadata_t smeta) {
+    register<bit<32>>(64) narrow;
+    register<bit<100>>(16) wide;
+    counter(64) hits;
+    meter(16) policer;
+    apply {
+        narrow.read(meta.narrow, smeta.ingress_port);
+        wide.read(meta.wide, smeta.ingress_port);
+        hits.count(smeta.ingress_port);
+        policer.execute(smeta.ingress_port, meta.color);
+        smeta.egress_spec = 9w1;
+    }
+}
+
+control MyDeparser(packet_out pkt, in headers hdr) {
+    apply {
+        pkt.emit(hdr.ethernet);
+    }
+}
+
+NdpSwitch(MyParser(), MyIngress(), MyDeparser()) main;
+)P4";
+
+// FNV-1a over a word's eight bytes, low byte first, with no shortcut:
+// the definition StatefulSet::info()'s state hashes must keep, since
+// "state" divergence details print them.
+std::uint64_t fnv_bytewise(std::uint64_t h, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (i * 8)) & 0xff;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+struct MeterParams {
+    double committed_rate = 0;
+    std::uint64_t committed_burst = 0;
+    double excess_rate = 0;
+    std::uint64_t excess_burst = 0;
+};
+
+TEST(StatefulHash, ZeroWordFastPathMatchesTheBytewiseFold) {
+    const auto prog = p4::compile_source(kStateHashProbe, "state_hash_probe");
+    dataplane::StatefulSet set(*prog);
+    std::map<std::pair<int, std::uint64_t>, MeterParams> configured;
+    util::Rng rng(0x5eed);
+    // Pass 0 hashes the power-on state (all zero, meters unconfigured),
+    // pass 1 touches a few cells with small values (zero high words),
+    // pass 2 fills every cell with random bits.
+    for (int pass = 0; pass < 3; ++pass) {
+        SCOPED_TRACE(pass);
+        for (const auto& e : prog->externs) {
+            for (std::uint64_t i = 0; i < static_cast<std::uint64_t>(e.array_size);
+                 ++i) {
+                if (pass == 0 || (pass == 1 && rng.next_below(6) != 0)) continue;
+                const bool dense = pass == 2;
+                switch (e.kind) {
+                    case p4::ir::ExternDecl::Kind::reg: {
+                        const std::uint64_t words[2] = {
+                            dense ? rng.next_u64() : rng.next_below(256),
+                            dense ? rng.next_u64() : 0};
+                        set.register_write(
+                            e.id, i, util::Bitvec::from_words(e.elem_width, words));
+                        break;
+                    }
+                    case p4::ir::ExternDecl::Kind::counter:
+                        set.counter_count(e.id, i, dense ? rng.next_u64() : 0);
+                        break;
+                    case p4::ir::ExternDecl::Kind::meter: {
+                        MeterParams m;
+                        m.committed_rate = static_cast<double>(rng.next_below(1u << 20));
+                        m.committed_burst = dense ? rng.next_u64() : 0;
+                        m.excess_rate = dense ? rng.next_double() : 0.0;
+                        m.excess_burst = rng.next_below(4096);
+                        set.meter_configure(e.id, i, m.committed_rate,
+                                            m.committed_burst, m.excess_rate,
+                                            m.excess_burst);
+                        configured[{e.id, i}] = m;
+                        break;
+                    }
+                }
+            }
+        }
+
+        const std::vector<dataplane::StatefulSet::Info> info = set.info();
+        ASSERT_EQ(info.size(), prog->externs.size());
+        for (const auto& e : prog->externs) {
+            std::uint64_t h = 1469598103934665603ull;
+            std::uint64_t unconfigured = 0;
+            for (std::uint64_t i = 0; i < static_cast<std::uint64_t>(e.array_size);
+                 ++i) {
+                switch (e.kind) {
+                    case p4::ir::ExternDecl::Kind::reg: {
+                        const util::Bitvec cell = set.register_read(e.id, i);
+                        for (const std::uint64_t w : cell.word_span()) {
+                            h = fnv_bytewise(h, w);
+                        }
+                        break;
+                    }
+                    case p4::ir::ExternDecl::Kind::counter:
+                        h = fnv_bytewise(h, set.counter_packets(e.id, i));
+                        h = fnv_bytewise(h, set.counter_bytes(e.id, i));
+                        break;
+                    case p4::ir::ExternDecl::Kind::meter: {
+                        const auto it = configured.find({e.id, i});
+                        h = fnv_bytewise(h, it != configured.end() ? 1 : 0);
+                        if (it == configured.end()) {
+                            ++unconfigured;
+                            break;
+                        }
+                        const MeterParams& m = it->second;
+                        h = fnv_bytewise(h, std::bit_cast<std::uint64_t>(m.committed_rate));
+                        h = fnv_bytewise(h, m.committed_burst);
+                        h = fnv_bytewise(h, std::bit_cast<std::uint64_t>(m.excess_rate));
+                        h = fnv_bytewise(h, m.excess_burst);
+                        break;
+                    }
+                }
+            }
+            const auto& got = info[static_cast<std::size_t>(e.id)];
+            EXPECT_EQ(got.name, e.name);
+            EXPECT_EQ(got.state_hash, h) << e.name;
+            EXPECT_EQ(got.unconfigured_meters, unconfigured) << e.name;
+        }
+    }
 }
 
 }  // namespace
