@@ -189,7 +189,9 @@ public:
 
     void send(std::span<const std::uint8_t> bytes) override;
     bool receive(std::vector<std::uint8_t>& out) override;
-    void tick() override;  // polls the fd for up to 1ms
+    // Polls this fd for up to 1ms.  The fabric worker's event loop waits
+    // with it; the fabric parent instead polls every worker's fd() at once.
+    void tick() override;
 
     // True until a write fails or the peer closes the stream.
     bool alive() const { return alive_; }

@@ -1,5 +1,6 @@
 #include "core/fabric.h"
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -13,7 +14,6 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "control/transport.h"
@@ -125,10 +125,13 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
 // --- worker process -----------------------------------------------------------
 
 // Event loop of one forked worker: answer heartbeats, execute job shards
-// through the shared execute_scenario() core, stream results back.  Exits
-// via _Exit (never returns into the parent's stack): the forked child must
-// not run the parent's atexit/static-destructor chain.
+// through the shared execute_scenario() core, stream results back.  `gen`
+// is the parent's catalogue, inherited across the fork, so a worker never
+// compiles its own.  Exits via _Exit (never returns into the parent's
+// stack): the forked child must not run the parent's atexit/static-
+// destructor chain.
 [[noreturn]] void worker_main(int fd, const FabricConfig& cfg,
+                              const SpecGenerator& gen,
                               const std::vector<BackendSpec>& duts,
                               const ExecOptions& exec,
                               const control::FaultPlan& link_plan,
@@ -141,7 +144,6 @@ bool read_outcome(wire::Reader& r, ScenarioOutcome& out) {
         control::FdTransport transport(fd);
         control::FaultInjector out(link_plan, link_salt);
         wire::FrameReader reader;
-        const SpecGenerator gen(cfg.campaign.programs);
         std::unique_ptr<WorkerContext> ctx;
         // Injector decisions already reported to the parent (each result
         // frame carries the delta, so the parent can aggregate link faults
@@ -256,7 +258,23 @@ struct Shard {
     std::uint32_t count = 0;
 };
 
+// One worker process and its link.  The slot owns the process: a worker
+// still running when its slot is destroyed is SIGKILLed and reaped, so no
+// error path out of FabricEngine::run() leaves one behind.
 struct WorkerSlot {
+    WorkerSlot() = default;
+    WorkerSlot(const WorkerSlot&) = delete;
+    WorkerSlot& operator=(const WorkerSlot&) = delete;
+    ~WorkerSlot() { kill_worker(); }
+
+    // SIGKILLs and reaps the worker, if there is one.
+    void kill_worker() {
+        if (pid <= 0) return;
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+        pid = -1;
+    }
+
     pid_t pid = -1;
     std::unique_ptr<control::FdTransport> transport;
     wire::FrameReader reader;
@@ -383,7 +401,7 @@ CampaignReport FabricEngine::run() {
                 util::fnv1a_64("ndb.fabric.worker") ^
                 (slot_index + 1) * 0x9e3779b97f4a7c15ull ^
                 static_cast<std::uint64_t>(s.restarts) * 0xc2b2ae3d27d4eb4full;
-            worker_main(sv[1], config_, duts, exec, link_plan, salt);
+            worker_main(sv[1], config_, gen, duts, exec, link_plan, salt);
         }
         ::close(sv[1]);
         if (obs::metrics_on()) obs::count(obs::Counter::worker_spawns);
@@ -463,12 +481,46 @@ CampaignReport FabricEngine::run() {
         }
     };
 
+    // Reads whatever the worker has written, without blocking, and handles
+    // every complete frame in it.
+    const auto read_link = [&](WorkerSlot& s, Clock::time_point now) {
+        std::vector<std::uint8_t> rx;
+        if (s.transport->receive(rx)) s.reader.feed(rx);
+        wire::Frame frame;
+        while (s.reader.next(frame)) {
+            s.last_frame = now;
+            if (frame.kind == wire::FrameKind::heartbeat_ack) {
+                s.last_ack = now;
+                import_telemetry(frame);
+            } else if (frame.kind == wire::FrameKind::job_result) {
+                handle_result(s, frame);
+            }
+        }
+    };
+
+    // One wait over every live link: returns as soon as any worker has
+    // written (or closed its end), else after `timeout_ms`.
+    std::vector<pollfd> pfds;
+    const auto wait_links = [&](int timeout_ms) {
+        pfds.clear();
+        for (const auto& s : slots) {
+            if (s.pid > 0 && s.transport->alive()) {
+                pfds.push_back({s.transport->fd(), POLLIN, 0});
+            }
+        }
+        ::poll(pfds.data(), pfds.size(), timeout_ms);
+    };
+
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < slots.size(); ++i) spawn(i);
 
-    while (shards_left > 0) {
+    // Event-driven: each pass reads every link without blocking, and a
+    // slot whose result was just folded gets its next shard in the same
+    // pass, so no worker waits on its siblings' traffic.
+    for (;;) {
         const auto now = Clock::now();
         for (auto& s : slots) {
+            read_link(s, now);
             if (!s.inflight && !pending.empty()) {
                 s.inflight = pending.front();
                 pending.pop_front();
@@ -487,23 +539,10 @@ CampaignReport FabricEngine::run() {
                 ++report.fabric.jobs_resent;
                 send_job(s);
             }
-            // Flush injector-held frames, then collect inbound traffic.
+            // Flush injector-held frames.
             std::vector<std::vector<std::uint8_t>> due;
             s.out.tick(due);
             for (const auto& chunk : due) s.transport->send(chunk);
-            s.transport->tick();
-            std::vector<std::uint8_t> rx;
-            if (s.transport->receive(rx)) s.reader.feed(rx);
-            wire::Frame frame;
-            while (s.reader.next(frame)) {
-                s.last_frame = now;
-                if (frame.kind == wire::FrameKind::heartbeat_ack) {
-                    s.last_ack = now;
-                    import_telemetry(frame);
-                } else if (frame.kind == wire::FrameKind::job_result) {
-                    handle_result(s, frame);
-                }
-            }
         }
 
         if (!kill_fired && config_.kill_worker_after_results >= 0 &&
@@ -529,11 +568,7 @@ CampaignReport FabricEngine::run() {
                 dead = true;
             }
             if (!dead) continue;
-            if (s.pid > 0) {
-                ::kill(s.pid, SIGKILL);
-                ::waitpid(s.pid, nullptr, 0);
-                s.pid = -1;
-            }
+            s.kill_worker();
             retire_link(s);
             ++report.fabric.worker_restarts;
             if (obs::metrics_on()) obs::count(obs::Counter::worker_restarts);
@@ -555,49 +590,44 @@ CampaignReport FabricEngine::run() {
             }
             spawn(i);
         }
+
+        if (shards_left == 0) break;
+        wait_links(1);
     }
 
     // Orderly teardown: shutdown frames bypass the fault injector (this is
-    // housekeeping, not the experiment), stragglers get SIGKILL.
+    // housekeeping, not the experiment).  A worker answers with its final
+    // telemetry delta and exits, which closes its end of the link, so each
+    // link is read until EOF and its worker reaped right then; the only
+    // holder of a worker's end is the worker itself.  (A result still read
+    // here duplicates a finished shard and is dropped.)  Stragglers still
+    // open after 500 ms get SIGKILL.
     for (auto& s : slots) {
         if (s.pid <= 0) continue;
         wire::Frame bye;
         bye.kind = wire::FrameKind::shutdown;
         s.transport->send(wire::encode_frame(bye));
     }
-    // Each worker's final telemetry delta lands on its link right before
-    // exit; pump the transport while waiting to reap (no-op when telemetry
-    // is off, so the untelemetered teardown is unchanged).
-    const auto drain_telemetry = [&](WorkerSlot& s) {
-        if (!s.transport || !obs::Telemetry::any_enabled()) return;
-        s.transport->tick();
-        std::vector<std::uint8_t> rx;
-        if (s.transport->receive(rx)) s.reader.feed(rx);
-        wire::Frame frame;
-        while (s.reader.next(frame)) {
-            if (frame.kind == wire::FrameKind::heartbeat_ack) {
-                import_telemetry(frame);
+    const auto reap_deadline = Clock::now() + std::chrono::milliseconds(500);
+    for (;;) {
+        bool open = false;
+        for (auto& s : slots) {
+            if (s.pid <= 0) continue;
+            read_link(s, Clock::now());
+            if (s.transport->alive()) {
+                open = true;
+                continue;
             }
-        }
-    };
-    for (auto& s : slots) {
-        if (s.pid > 0) {
-            bool reaped = false;
-            for (int i = 0; i < 250 && !reaped; ++i) {
-                drain_telemetry(s);
-                if (::waitpid(s.pid, nullptr, WNOHANG) == s.pid) {
-                    reaped = true;
-                } else {
-                    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-                }
-            }
-            if (!reaped) {
-                ::kill(s.pid, SIGKILL);
-                ::waitpid(s.pid, nullptr, 0);
-            }
+            ::waitpid(s.pid, nullptr, 0);  // EOF: the worker is exiting
             s.pid = -1;
         }
-        drain_telemetry(s);
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            reap_deadline - Clock::now());
+        if (!open || left.count() <= 0) break;
+        wait_links(static_cast<int>(left.count()));
+    }
+    for (auto& s : slots) {
+        s.kill_worker();
         retire_link(s);
         s.transport.reset();
     }

@@ -5,8 +5,13 @@
 // socketpairs: the parent dispatches shards of scenario indices as `job`
 // frames, workers execute them through the same execute_scenario() core
 // the in-process engine uses and stream back `job_result` frames, and a
-// heartbeat watchdog detects hung or killed workers.  A worker that dies
-// mid-shard is respawned and its shard re-dispatched, so a SIGKILL costs
+// heartbeat watchdog detects hung or killed workers.  The parent loop is
+// event-driven: one poll() waits on every worker link at once, each pass
+// reads every link without blocking, and a worker whose result was just
+// folded gets its next shard in that same pass; at teardown each link is
+// read to EOF and its worker reaped on the spot.  Every worker is reaped
+// before run() returns or throws.  A worker that dies mid-shard is
+// respawned and its shard re-dispatched, so a SIGKILL costs
 // latency, never correctness: outcomes are folded in scenario order at the
 // end, which keeps the CampaignReport byte-identical to the single-process
 // run (the fabric's own accounting block is the one timing-dependent

@@ -2,10 +2,13 @@
 // byte-identical to the single-process uniform sweep -- with clean links,
 // with a SIGKILLed worker plus lossy fault-injected links (graceful
 // degradation), and with management-plane fault injection layered on top.
+// Every test that runs the engine ends by asserting no worker outlived it.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -36,6 +39,15 @@ std::string json_without_fabric(CampaignReport r) {
     return r.to_json();
 }
 
+// FabricEngine::run() must reap every worker it forked before it returns
+// or throws: a child still running, or exited but unreaped, would make
+// this waitpid succeed (or return 0) instead of failing with ECHILD.
+void expect_no_child_left() {
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD) << "a fabric worker outlived FabricEngine::run()";
+}
+
 TEST(Fabric, CleanRunByteIdenticalToSingleProcess) {
     const CampaignConfig cfg = base_config();
 
@@ -54,6 +66,43 @@ TEST(Fabric, CleanRunByteIdenticalToSingleProcess) {
     EXPECT_EQ(b.fabric.worker_restarts, 0u);
     EXPECT_GT(b.fabric.link_frames, 0u);
     EXPECT_EQ(a.to_json(), json_without_fabric(b));
+    expect_no_child_left();
+}
+
+TEST(Fabric, MoreWorkersThanShardsLeavesNoChildBehind) {
+    // Two shards across four workers: two workers never get a job, and
+    // the teardown must still shut down and reap all four.
+    CampaignConfig cfg = base_config();
+    cfg.scenarios = 8;
+
+    CampaignEngine single(cfg);
+    const CampaignReport a = single.run();
+
+    FabricConfig f;
+    f.campaign = cfg;
+    f.workers = 4;
+    f.shard_size = 4;
+    FabricEngine fabric(f);
+    const CampaignReport b = fabric.run();
+
+    EXPECT_EQ(b.fabric.workers, 4u);
+    EXPECT_EQ(b.fabric.worker_restarts, 0u);
+    EXPECT_EQ(a.to_json(), json_without_fabric(b));
+    expect_no_child_left();
+}
+
+TEST(Fabric, RespawnBudgetExhaustionReapsEveryWorker) {
+    // With no respawn budget, the drill's SIGKILL of worker 0 aborts the
+    // campaign; the surviving workers must be reaped before run() throws.
+    FabricConfig f;
+    f.campaign = base_config();
+    f.workers = 3;
+    f.shard_size = 2;
+    f.max_restarts_per_worker = 0;
+    f.kill_worker_after_results = 1;
+    FabricEngine fabric(f);
+    EXPECT_THROW(fabric.run(), std::runtime_error);
+    expect_no_child_left();
 }
 
 TEST(Fabric, SurvivesWorkerKillAndLossyLinks) {
@@ -80,6 +129,7 @@ TEST(Fabric, SurvivesWorkerKillAndLossyLinks) {
     EXPECT_GE(b.fabric.worker_restarts, 1u);
     EXPECT_GT(b.fabric.link_faults, 0u);
     EXPECT_EQ(a.to_json(), json_without_fabric(b));
+    expect_no_child_left();
 }
 
 TEST(Fabric, MgmtFaultInjectionStaysDeterministicAcrossProcessCounts) {
@@ -119,6 +169,7 @@ TEST(Fabric, MgmtFaultInjectionStaysDeterministicAcrossProcessCounts) {
     EXPECT_TRUE(saw_mgmt_kind)
         << "harsh mgmt plan produced no mgmt-kind divergence";
     EXPECT_EQ(a.to_json(), json_without_fabric(b));
+    expect_no_child_left();
 }
 
 TEST(Fabric, TelemetryDeltasMergeAcrossWorkersWithoutTouchingTheReport) {
@@ -174,6 +225,7 @@ TEST(Fabric, TelemetryDeltasMergeAcrossWorkersWithoutTouchingTheReport) {
 
     obs::Telemetry::set_enabled(false, false);
     obs::Telemetry::reset();
+    expect_no_child_left();
 }
 
 TEST(Fabric, RejectsModesThatNeedASharedFeedbackLoop) {
@@ -206,6 +258,7 @@ TEST(Fabric, RejectsModesThatNeedASharedFeedbackLoop) {
         g.shard_size = 0;
         EXPECT_THROW(FabricEngine(g).run(), std::invalid_argument);
     }
+    expect_no_child_left();
 }
 
 }  // namespace

@@ -49,7 +49,9 @@
 // shards, and the report stays byte-identical to the single-process run
 // apart from its fabric accounting block.  --fault-plan SPEC faults the
 // parent<->worker links themselves; --kill-worker-after N SIGKILLs worker
-// 0 after N shard results (a recovery drill for CI).
+// 0 after N shard results (a recovery drill for CI).  --fault-plan,
+// --shard-size and --kill-worker-after configure the fabric only, so
+// without --workers they are a usage error (exit 2), never silently unused.
 //
 // --metrics-out FILE / --trace-out FILE switch on the observe-only
 // telemetry layer: FILE gets the merged metrics snapshot JSON (counters,
@@ -124,6 +126,7 @@ int main(int argc, char** argv) {
     std::string corpus_dir = "tests/corpus";
     core::FabricConfig fabric;
     int workers = 0;  // 0 = in-process engine; >0 = multi-process fabric
+    const char* fabric_only_flag = nullptr;  // last one seen, if any
     std::string metrics_out;
     std::string trace_out;
 
@@ -198,11 +201,14 @@ int main(int argc, char** argv) {
             workers = static_cast<int>(parse_count("--workers", value(), 1, 64));
         } else if (arg == "--fault-plan") {
             fabric.link_fault_plan = value();
+            fabric_only_flag = "--fault-plan";
         } else if (arg == "--shard-size") {
             fabric.shard_size = parse_count("--shard-size", value(), 1, 4096);
+            fabric_only_flag = "--shard-size";
         } else if (arg == "--kill-worker-after") {
             fabric.kill_worker_after_results = static_cast<int>(
                 parse_count("--kill-worker-after", value(), 0, 1u << 20));
+            fabric_only_flag = "--kill-worker-after";
         } else if (arg == "--metrics-out") {
             // Strict like the numeric flags: an empty path is a typo, not a
             // request for an unnamed file.
@@ -228,6 +234,12 @@ int main(int argc, char** argv) {
         }
     }
 
+    if (fabric_only_flag && workers == 0) {
+        std::fprintf(stderr,
+                     "%s configures the multi-process fabric and needs --workers N\n",
+                     fabric_only_flag);
+        return 2;
+    }
     if (soak) {
         // Corpus recipes must replay under corpus_replay_test's contract:
         // a localized stage in the fingerprint and a minimized reproducer.
